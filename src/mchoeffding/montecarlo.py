@@ -3,9 +3,17 @@ Gaussian baselines for the vector-valued comparison.
 
 Determinism contract: every random draw is a pure function of
 (master_seed, trial index, step counter), so reports are bit-identical for a
-fixed configuration regardless of batching or parallelism.
+fixed configuration regardless of batching.
+
+The chain walk is streamed: `_steps` draws the uniforms of a block of steps
+at a time and yields the state vector of all trials step by step, so
+`simulate_sums` holds O(trials * block) memory instead of the (trials, n)
+uniform and state arrays.  Its states are bit-identical to the inverse-CDF
+walk over the full (trials, n) block.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +44,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
 class SimConfig:
     trials: int
     master_seed: int
-    parallelism: int = 1  # advisory only; results never depend on it
 
     def __post_init__(self):
         if self.trials < 1:
@@ -68,42 +75,101 @@ class TailReport:
         return out
 
 
-def _walk(chain: MarkovChain, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniform draws of shape (trials, n) to state paths via inverse CDF."""
-    trials, n = uniforms.shape
-    cum_rows = np.cumsum(chain.transition, axis=1)
-    cum_pi = np.cumsum(chain.stationary)
-    states = np.empty((trials, n), dtype=np.int64)
-    states[:, 0] = np.searchsorted(cum_pi, uniforms[:, 0], side="right")
-    np.clip(states[:, 0], 0, chain.n_states - 1, out=states[:, 0])
-    for k in range(1, n):
-        c = cum_rows[states[:, k - 1]]
-        nxt = (uniforms[:, k][:, None] > c).sum(axis=1)
-        states[:, k] = np.clip(nxt, 0, chain.n_states - 1)
-    return states
+# One block of uniforms holds at most _BLOCK_DRAWS draws (1 MB of float64) and
+# at most _BLOCK_STEPS steps: small enough to stay in cache, large enough that
+# per-call overhead is negligible.
+_BLOCK_DRAWS = 1 << 17
+_BLOCK_STEPS = 32
+
+
+def _block_steps(trials: int) -> int:
+    return max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // trials))
+
+
+def _cdf_table(transition: np.ndarray):
+    """Flat cumulative rows padded to a power-of-two width, +inf from column N-1 on.
+
+    Returns (table, bits) with width 2**bits.  Replacing the last cumulative
+    value by +inf caps the count of entries below u at N-1, which is the clip
+    the inverse CDF needs when a row sums to slightly less than 1."""
+    cum = np.cumsum(transition, axis=1)
+    n = cum.shape[1]
+    bits = (n - 1).bit_length()
+    table = np.full((n, 1 << bits), np.inf)
+    table[:, :n - 1] = cum[:, :n - 1]
+    return table.ravel(), bits
+
+
+def _step(table: np.ndarray, bits: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next states: per trial, the number of entries of its table row below u.
+
+    A branchless binary search, one gather per halving of the row width;
+    cumulative rows are non-decreasing, so this equals counting u > cumsum."""
+    pos = states << bits
+    h = (1 << bits) >> 1
+    while h:
+        pos += (table.take(pos + (h - 1)) < u) * h
+        h >>= 1
+    return pos & ((1 << bits) - 1)
+
+
+def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
+    """Iterator over the C-contiguous state vector of all trials at steps 1..n.
+
+    Trial t uses the counter stream of seeds[t]: its first state inverts the
+    stationary CDF at uniform 1, and state k inverts the transition row of
+    state k-1 at uniform k.  Uniforms are drawn one block of steps at a time."""
+    if n < 1:
+        raise OutOfRange("n must be at least 1")
+    block = _block_steps(len(seeds))
+    blocks = (uniform_block(seeds, min(start + block, n), start) for start in range(0, n, block))
+    uniforms = itertools.chain.from_iterable(np.ascontiguousarray(b.T) for b in blocks)
+    # searchsorted over all but the last entry caps the first state at N-1
+    first = np.searchsorted(np.cumsum(chain.stationary)[:-1], next(uniforms), side="right")
+    table, bits = _cdf_table(chain.transition)
+    return itertools.accumulate(uniforms, functools.partial(_step, table, bits), initial=first)
+
+
+def _paths(chain: MarkovChain, seeds: np.ndarray, n: int) -> np.ndarray:
+    """(len(seeds), n) state paths: a transposed view of the step-major array
+    that `_steps` fills one row at a time."""
+    steps = _steps(chain, seeds, n)
+    out = np.empty((n, len(seeds)), dtype=np.int64)
+    for k, states in enumerate(steps):
+        out[k] = states
+    return out.T
 
 
 def sample_path(chain: MarkovChain, n: int, seed: int) -> np.ndarray:
     """One stationary path Y_1..Y_n, deterministic in `seed`."""
-    if n < 1:
-        raise OutOfRange("n must be at least 1")
-    u = uniform_block(np.array([seed], dtype=np.uint64), n)
-    return _walk(chain, u)[0]
+    return _paths(chain, np.array([seed], dtype=np.uint64), n)[0]
 
 
 def sample_paths(chain: MarkovChain, n: int, cfg: SimConfig) -> np.ndarray:
     """(trials, n) state paths; row t equals sample_path with the t-th derived seed."""
-    seeds = trial_seeds(cfg.master_seed, cfg.trials)
-    return _walk(chain, uniform_block(seeds, n))
+    return _paths(chain, trial_seeds(cfg.master_seed, cfg.trials), n)
 
 
 def simulate_sums(chain: MarkovChain, funcs: FunctionFamily, cfg: SimConfig) -> np.ndarray:
-    """Per-trial realizations of S_n = sum_i f_i(Y_i)."""
-    states = sample_paths(chain, funcs.n_steps, cfg)
+    """Per-trial realizations of S_n = sum_i f_i(Y_i), accumulated step by step."""
+    seeds = trial_seeds(cfg.master_seed, cfg.trials)
     S = np.zeros(cfg.trials)
-    for i in range(funcs.n_steps):
-        S += funcs.values[i][states[:, i]]
+    for f, states in zip(funcs.values, _steps(chain, seeds, funcs.n_steps)):
+        S += f[states]
     return S
+
+
+def _tail_table(values: np.ndarray, thresholds: np.ndarray):
+    """Per threshold t: the fraction of values >= t - 1e-12 and its Wilson interval.
+
+    One sort plus searchsorted gives the same hit counts as comparing every
+    value against every threshold; NaN values count as misses either way."""
+    v = np.sort(values)
+    not_nan = np.searchsorted(v, np.inf, side="right")  # np.sort puts NaN last
+    hits = not_nan - np.searchsorted(v, thresholds - 1e-12, side="left")
+    trials = len(values)
+    ci = np.array([wilson_interval(int(h), trials) for h in hits]).reshape(-1, 2)
+    return hits / trials, ci[:, 0], ci[:, 1]
 
 
 def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimConfig,
@@ -115,14 +181,7 @@ def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimCon
     if lam is None:
         lam = contraction(chain)
     S = simulate_sums(chain, funcs, cfg)
-    scale = funcs.a_l2
-    est = np.empty(len(u_grid))
-    lo = np.empty(len(u_grid))
-    hi = np.empty(len(u_grid))
-    for i, u in enumerate(u_grid):
-        hits = int(np.sum(np.abs(S) >= u * scale - 1e-12))
-        est[i] = hits / cfg.trials
-        lo[i], hi[i] = wilson_interval(hits, cfg.trials)
+    est, lo, hi = _tail_table(np.abs(S), u_grid * funcs.a_l2)
     bound_cols = evaluate_tail_bounds(u_grid, lam)
     vac = {name: vals >= 1.0 for name, vals in bound_cols.items()}
     return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
@@ -185,13 +244,7 @@ def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vector
     g_mean, _, _ = estimate_gaussian_norm(X, norm_kind, g_cfg)
 
     lam = contraction(chain)
-    est = np.empty(len(thresholds))
-    lo = np.empty(len(thresholds))
-    hi = np.empty(len(thresholds))
-    for i, t in enumerate(thresholds):
-        hits = int(np.sum(norms >= t - 1e-12))
-        est[i] = hits / cfg.trials
-        lo[i], hi[i] = wilson_interval(hits, cfg.trials)
+    est, lo, hi = _tail_table(norms, thresholds)
     u_grid = thresholds / g_mean if g_mean > 0 else np.full_like(thresholds, np.inf)
 
     fit_L, fit_C = _fit_tail_curve(u_grid, est, lam)

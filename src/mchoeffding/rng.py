@@ -2,8 +2,9 @@
 
 All simulation randomness is derived by hashing (seed, counter) pairs through
 a 64-bit finalizer (splitmix64).  There is no generator state, so per-trial
-streams are independent of execution order and bit-identical across runs and
-parallelism settings.
+streams are independent of execution order, and any range of a stream's
+counters can be drawn on its own, bit-identical to the same columns of the
+full block.
 """
 
 import numpy as np
@@ -34,10 +35,13 @@ def _to_unit(bits):
     return ((bits >> _U64(12)).astype(np.float64) + 0.5) * _TWO_NEG_52
 
 
-def uniform_block(seeds, count):
-    """Uniform (0,1) matrix of shape (len(seeds), count); row t depends only on seeds[t]."""
+def uniform_block(seeds, stop, start=0):
+    """Uniform (0,1) matrix of shape (len(seeds), stop - start); row t depends only on seeds[t].
+
+    Column j holds counter start + j + 1, so adjacent ranges concatenate to
+    uniform_block(seeds, stop)."""
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    ctr = _GOLDEN * np.arange(1, count + 1, dtype=np.uint64)
+    ctr = _GOLDEN * np.arange(start + 1, stop + 1, dtype=np.uint64)
     return _to_unit(splitmix64(seeds + ctr))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +14,19 @@ from mchoeffding import (
     validate_chain,
     wilson_interval,
 )
+from mchoeffding.chain import FunctionFamily
 from mchoeffding.errors import EmptyInput, OutOfRange
 from mchoeffding.montecarlo import (
+    _block_steps,
+    _cdf_table,
+    _step,
+    _tail_table,
     estimate_gaussian_norm,
     estimate_vector_sum_tail,
     sample_paths,
     simulate_sums,
 )
-from mchoeffding.rng import trial_seeds
+from mchoeffding.rng import trial_seeds, uniform_block
 
 from conftest import random_chain, random_lattice_family
 
@@ -88,12 +94,12 @@ def test_estimate_tail_matches_exact_random_chains(rng):
             assert report.ci_low[i] - 1e-9 <= p <= report.ci_high[i] + 1e-9
 
 
-def test_reports_deterministic_and_parallelism_insensitive():
+def test_reports_deterministic():
     chain = two_state_chain(0.7)
     funcs = sign_family(8)
     grid = [0.0, 1.0, 2.0]
-    a = estimate_tail(chain, funcs, grid, SimConfig(trials=5000, master_seed=3, parallelism=1))
-    b = estimate_tail(chain, funcs, grid, SimConfig(trials=5000, master_seed=3, parallelism=8))
+    a = estimate_tail(chain, funcs, grid, SimConfig(trials=5000, master_seed=3))
+    b = estimate_tail(chain, funcs, grid, SimConfig(trials=5000, master_seed=3))
     np.testing.assert_array_equal(a.estimates, b.estimates)
     np.testing.assert_array_equal(a.ci_low, b.ci_low)
     for name in a.bounds:
@@ -192,3 +198,133 @@ def test_simulate_sums_shape():
     S = simulate_sums(chain, sign_family(5), SimConfig(trials=64, master_seed=9))
     assert S.shape == (64,)
     assert np.all(np.abs(S) <= 5 + 1e-12)
+
+
+def test_zero_steps_rejected():
+    chain = two_state_chain(0.3)
+    with pytest.raises(OutOfRange):
+        sample_paths(chain, 0, SimConfig(trials=4, master_seed=1))
+    with pytest.raises(OutOfRange):
+        sample_path(chain, 0, seed=1)
+    with pytest.raises(OutOfRange):
+        sample_path(chain, -3, seed=1)
+
+
+# --- streamed walk against the (trials, n) inverse-CDF walk ---------------------
+
+def seed_walk(chain, seeds, n):
+    """Reference walk: the full (trials, n) uniform block, then per step count
+    the cumulative entries below u and clip to the last state."""
+    u = uniform_block(seeds, n)
+    last = chain.n_states - 1
+    cum_rows = np.cumsum(chain.transition, axis=1)
+    cum_pi = np.cumsum(chain.stationary)
+    states = np.empty(u.shape, dtype=np.int64)
+    states[:, 0] = np.clip(np.searchsorted(cum_pi, u[:, 0], side="right"), 0, last)
+    for k in range(1, n):
+        nxt = (u[:, k][:, None] > cum_rows[states[:, k - 1]]).sum(axis=1)
+        states[:, k] = np.clip(nxt, 0, last)
+    return states
+
+
+def _doubly_stochastic(A):
+    A = np.asarray(A, dtype=float)
+    return validate_chain(A, np.full(len(A), 1.0 / len(A)))
+
+
+def _walk_chains():
+    rng = np.random.default_rng(1806)
+    eye5 = np.eye(5)
+    cycle5 = np.roll(eye5, 1, axis=1)
+    chains = {
+        "one_state": validate_chain([[1.0]], [1.0]),
+        "identity": _doubly_stochastic(np.eye(3)),
+        # two zeros per row, so every cumulative row repeats a value
+        "zero_entries": _doubly_stochastic(0.2 * eye5 + 0.5 * cycle5 + 0.3 * np.roll(eye5, 2, axis=1)),
+        "near_periodic": _doubly_stochastic(0.98 * cycle5 + 0.004),
+        "slow_mixing": _doubly_stochastic(0.97 * np.eye(4) + 0.0075),
+        # non-reversible: a 3-cycle mixed with uniform, doubly stochastic
+        "non_reversible": _doubly_stochastic(0.7 * np.roll(np.eye(3), 1, axis=1) + 0.1),
+    }
+    for n_states in (3, 5, 7, 17):
+        chains[f"random_{n_states}"] = random_chain(rng, n_states, min_entry=0.01)
+    return chains
+
+
+WALK_CHAINS = _walk_chains()
+
+
+@pytest.mark.parametrize("trials", [300, 20_000])
+@pytest.mark.parametrize("name", sorted(WALK_CHAINS))
+def test_streamed_walk_matches_seed_walk(name, trials):
+    chain = WALK_CHAINS[name]
+    cfg = SimConfig(trials=trials, master_seed=41)
+    seeds = trial_seeds(cfg.master_seed, cfg.trials)
+    block = _block_steps(cfg.trials)
+    for n in (1, block - 1, block, block + 1, 3 * block + 5):
+        ref = seed_walk(chain, seeds, n)
+        np.testing.assert_array_equal(sample_paths(chain, n, cfg), ref)
+        np.testing.assert_array_equal(sample_path(chain, n, int(seeds[7])), ref[7])
+        values = np.random.default_rng(n).normal(size=(n, chain.n_states))
+        fam = FunctionFamily(values=values, bounds=np.abs(values).max(axis=1))
+        S = np.zeros(cfg.trials)
+        for i in range(n):
+            S += values[i][ref[:, i]]
+        np.testing.assert_array_equal(simulate_sums(chain, fam, cfg), S)
+
+
+@pytest.mark.parametrize("n_states", [3, 4, 5])
+def test_step_caps_state_above_short_row_sum(n_states):
+    # the last row sums to 1 - 5e-10, inside the row-sum tolerance; u above its
+    # final cumulative value must land on the last state, as the clip does
+    A = np.full((n_states, n_states), 1.0 / n_states)
+    A[-1, -1] -= 5e-10
+    chain = validate_chain(A, np.full(n_states, 1.0 / n_states))
+    cum = np.cumsum(chain.transition, axis=1)
+    top = cum[-1, -1]
+    assert top < 1.0
+    u = np.array([np.nextafter(top, 1.0), 1.0 - 2.5e-10, 1.0 - 2.0**-53, top, 0.5, 1e-300])
+    states = np.full(len(u), n_states - 1)
+    table, bits = _cdf_table(chain.transition)
+    nxt = _step(table, bits, states, u)
+    expected = np.clip((u[:, None] > cum[states]).sum(axis=1), 0, n_states - 1)
+    np.testing.assert_array_equal(nxt, expected)
+    np.testing.assert_array_equal(nxt[:3], n_states - 1)
+
+
+def test_uniform_block_ranges_concatenate():
+    seeds = trial_seeds(12, 37)
+    full = uniform_block(seeds, 100)
+    cuts = [0, 1, 13, 14, 64, 99, 100]
+    parts = [uniform_block(seeds, stop, start) for start, stop in zip(cuts, cuts[1:])]
+    np.testing.assert_array_equal(np.concatenate(parts, axis=1), full)
+
+
+def test_simulate_sums_memory_is_streamed():
+    # a (T, n) float64 array alone would take 80 MB
+    trials, n = 2000, 5000
+    funcs = sign_family(n)
+    chain = two_state_chain(0.5)
+    tracemalloc.start()
+    try:
+        simulate_sums(chain, funcs, SimConfig(trials=trials, master_seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+# --- tail table against the per-threshold comparison ----------------------------
+
+def test_tail_table_matches_threshold_loop(rng):
+    values = np.abs(rng.normal(size=1001))
+    t = 0.75
+    edge = t - 1e-12
+    values[:4] = [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), t]
+    values[4:8] = [0.0, np.inf, np.nan, values[10]]
+    thresholds = np.array([-np.inf, 0.0, 1e-12, t, values[10] + 1e-12, 1.5, 10.0, np.inf, np.nan])
+    est, lo, hi = _tail_table(values, thresholds)
+    hits = [int(np.sum(values >= x - 1e-12)) for x in thresholds]
+    np.testing.assert_array_equal(est, np.array(hits) / len(values))
+    for i, h in enumerate(hits):
+        assert (lo[i], hi[i]) == wilson_interval(h, len(values))
