@@ -7,7 +7,7 @@ are configurable per call.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,23 +16,6 @@ from .errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, TooLarge, Unsorted
 RAO_DENOMINATOR = 64.0 * math.e
 
 MAX_STRING_Q = 30
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """A named bound with its free constants (paper-symbolic ones default to 1)."""
-
-    kind: str
-    parameters: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        allowed = {"iid_hoeffding", "healy", "rao", "fjs", "moment", "monomial",
-                   "matrix_schatten", "glss"}
-        if self.kind not in allowed:
-            raise OutOfRange(f"unknown bound kind {self.kind!r}")
-        for k, v in self.parameters.items():
-            if not (math.isfinite(v) and v > 0):
-                raise OutOfRange(f"parameter {k}={v} must be finite and positive")
 
 
 def _check_u(u):
@@ -81,8 +64,10 @@ def bound_glss(u: float, lam: float, d: int, c: float = 1.0) -> float:
     return 2.0 * d * math.exp(-c * (1.0 - lam) * u * u)
 
 
-def is_vacuous(value: float) -> bool:
-    return value >= 1.0
+def is_vacuous(value):
+    """True where a bound value says nothing: at least 1, or NaN.  Works
+    elementwise on arrays."""
+    return ~(np.asarray(value, dtype=float) < 1.0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Finite-state stationary Markov chains and the function families fed to them."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def validate_chain(transition, stationary=None, tol: Tolerances = DEFAULT_TOL) -
     A = np.array(transition, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {A.shape}")
-    if np.any(A < 0) or np.any(A > 1):
+    if not np.all((A >= 0) & (A <= 1)):
         raise NonStochastic("transition entries must lie in [0, 1]")
     row_err = np.abs(A.sum(axis=1) - 1.0)
     if np.any(row_err > tol.row_sum):
@@ -96,7 +96,7 @@ def validate_chain(transition, stationary=None, tol: Tolerances = DEFAULT_TOL) -
         pi = np.array(stationary, dtype=float)
         if pi.shape != (A.shape[0],):
             raise DimensionMismatch("stationary vector length must match the state count")
-        if np.any(pi <= tol.degenerate_pi):
+        if not np.all(pi > tol.degenerate_pi):
             raise DegenerateStationary("stationary entries must be strictly positive")
         if abs(pi.sum() - 1.0) > tol.row_sum:
             raise NotStationary(f"stationary vector sums to {pi.sum():.12g}")

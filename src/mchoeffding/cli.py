@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import evaluate_tail_bounds
-from .chain import averaging_operator, load_chain, sign_family, two_state_chain
+from .bounds import evaluate_tail_bounds, is_vacuous
+from .chain import averaging_operator, load_chain, two_state_chain
 from .config import DEFAULT_TOL
-from .errors import NumericError, ValidationError
+from .errors import NumericError, TooLarge, ValidationError
 from .matrixlab import (
     CoefficientMatrix,
     diagonal_first_order,
@@ -59,14 +59,21 @@ class RunManifest:
                 "version": self.version}
 
 
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(spec: str) -> np.ndarray:
     """start:stop:step, endpoints inclusive within half a step."""
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValidationError(f"bad grid {spec!r}, expected start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"grid {spec!r} must have finite start, stop and step")
     if step <= 0:
         raise ValidationError("grid step must be positive")
+    if (stop + step / 2.0 - start) / step > MAX_GRID_POINTS:
+        raise TooLarge(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return np.arange(start, stop + step / 2.0, step)
 
 
@@ -123,12 +130,15 @@ def _cmd_spectral(args, manifest):
 
 
 def _cmd_bounds(args, manifest):
+    if not math.isfinite(args.lam):
+        raise ValidationError(f"--lambda must be finite, got {args.lam}")
     u_grid = parse_grid(args.u_grid)
     cols = evaluate_tail_bounds(u_grid, args.lam)
     names = ["iid", "healy", "rao", "fjs"]
+    vacuous = {n: is_vacuous(cols[n]) for n in names}
     rows = [["u"] + names + ["vacuous_flags"]]
     for i, u in enumerate(u_grid):
-        flags = ";".join(n for n in names if cols[n][i] >= 1.0)
+        flags = ";".join(n for n in names if vacuous[n][i])
         rows.append([float(u)] + [float(cols[n][i]) for n in names] + [flags])
     _emit(render_csv(manifest, rows), args.output)
     return 0
@@ -171,6 +181,8 @@ def _cmd_matrix(args, manifest):
     if args.b:
         with open(args.b) as fh:
             B = CoefficientMatrix(json.load(fh))
+    elif args.d < 1:
+        raise ValidationError(f"--d must be at least 1, got {args.d}")
     elif args.pattern == "all-ones":
         B = CoefficientMatrix(np.ones((args.d, args.d)))
     else:
@@ -272,7 +284,6 @@ def build_parser():
 
     vp = sub.add_parser("verify", help="run invariant suites against a chain file")
     vp.add_argument("--chain", required=True)
-    vp.add_argument("--suite", default="all")
     vp.add_argument("--output")
     return p
 

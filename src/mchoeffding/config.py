@@ -19,8 +19,6 @@ class Tolerances:
     entrywise_identity: float = 1e-10  # A^k - E_pi vs (A - E_pi)^k
     oracle_agreement: float = 1e-10
     inequality_slack: float = 1e-9   # slack added to proved inequalities
-    jacobi_threshold: float = 1e-13
-    jacobi_sweep_cap: int = 100
     lattice_residual: float = 1e-9   # rational-reconstruction residual for f values
     lattice_max_denominator: int = 10**6
 

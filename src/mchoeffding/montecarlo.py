@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import evaluate_tail_bounds
+from .bounds import evaluate_tail_bounds, is_vacuous
 from .chain import FunctionFamily, MarkovChain
 from .errors import EmptyInput, OutOfRange
 from .rng import normal_block, trial_seeds, uniform_block
@@ -183,14 +183,14 @@ def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimCon
     S = simulate_sums(chain, funcs, cfg)
     est, lo, hi = _tail_table(np.abs(S), u_grid * funcs.a_l2)
     bound_cols = evaluate_tail_bounds(u_grid, lam)
-    vac = {name: vals >= 1.0 for name, vals in bound_cols.items()}
+    vac = {name: is_vacuous(vals) for name, vals in bound_cols.items()}
     return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
                       bounds=bound_cols, vacuous=vac,
                       trials=cfg.trials, master_seed=cfg.master_seed, lam=float(lam))
 
 
 def _norms(sums: np.ndarray, norm_kind: str) -> np.ndarray:
-    from .matrixlab import schatten_norm
+    from .matrixlab import _spectral_norms
 
     if norm_kind == "euclidean":
         return np.sqrt(np.sum(sums**2, axis=tuple(range(1, sums.ndim))))
@@ -199,7 +199,7 @@ def _norms(sums: np.ndarray, norm_kind: str) -> np.ndarray:
     if norm_kind == "schatten_inf":
         if sums.ndim != 3:
             raise OutOfRange("schatten_inf needs matrix-valued inputs")
-        return np.array([schatten_norm(m, math.inf) for m in sums])
+        return _spectral_norms(sums)
     raise OutOfRange(f"unknown norm kind {norm_kind!r}")
 
 

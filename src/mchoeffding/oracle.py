@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import FunctionFamily, MarkovChain, averaging_operator
+from .chain import FunctionFamily, MarkovChain
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     DimensionMismatch,
@@ -285,7 +285,7 @@ def verify_holder_application(pi, u_vectors, T_matrices,
         v = us[j] * v
     lhs = abs(float(pi @ v))
     ctx = NormContext(pi)
-    t_norms = [opnorm(T, ctx, 2, tol) for T in Ts]
+    t_norms = [opnorm(T, ctx, 2) for T in Ts]
     u_sup = math.prod(float(np.abs(u).max()) for u in us)
     total = 0.0
     for s in enumerate_admissible_strings(k + 1).strings:
@@ -314,8 +314,7 @@ def evaluate_projector_chain_claim(pi, R_matrices):
     return lhs, factored, rhs
 
 
-def evaluate_diagonal_chain_claim(pi, u_vectors, T_matrices,
-                                  tol: Tolerances = DEFAULT_TOL):
+def evaluate_diagonal_chain_claim(pi, u_vectors, T_matrices):
     """Both sides of: ||U_1 T_1 U_2 ... T_{k-1} U_k 1||_{L1(pi)}
     <= prod ||u_i||_inf * prod ||T_i||_{L2(pi)}."""
     pi = np.asarray(pi, dtype=float)
@@ -329,5 +328,5 @@ def evaluate_diagonal_chain_claim(pi, u_vectors, T_matrices,
     lhs = float(np.sum(pi * np.abs(v)))
     ctx = NormContext(pi)
     rhs = math.prod(float(np.abs(u).max()) for u in us)
-    rhs *= math.prod(opnorm(T, ctx, 2, tol) for T in Ts)
+    rhs *= math.prod(opnorm(T, ctx, 2) for T in Ts)
     return lhs, rhs

@@ -2,9 +2,8 @@
 
 The L2(pi) operator norm of T equals the largest singular value of
 D^{1/2} T D^{-1/2} with D = diag(pi): conjugating by D^{1/2} turns the
-weighted norm into the Euclidean one.  Singular values come from a cyclic
-Jacobi eigensolver on the Gram matrix, dense and dependency-light, which is
-plenty at the matrix sizes this library targets.
+weighted norm into the Euclidean one, whose singular values come from
+numpy's LAPACK SVD.
 """
 
 from dataclasses import dataclass
@@ -12,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovChain, averaging_operator
-from .config import DEFAULT_TOL, Tolerances
-from .errors import DimensionMismatch, NonConvergence, OutOfRange
+from .errors import DimensionMismatch, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -24,61 +22,12 @@ class NormContext:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if pi.ndim != 1 or np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-9:
+        if pi.ndim != 1 or not np.all(pi > 0) or not abs(pi.sum() - 1.0) <= 1e-9:
             raise OutOfRange("pi must be a strictly positive probability vector")
         object.__setattr__(self, "pi", pi)
 
 
-def symmetric_eigenvalues(S, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic-by-row Jacobi rotations.
-
-    Converged when every off-diagonal entry falls below
-    tol.jacobi_threshold times the Frobenius norm; raises NonConvergence
-    if the sweep cap is exceeded.
-    """
-    A = np.array(S, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return A[0, :1].copy()
-    scale = np.sqrt(np.sum(A * A))
-    if scale == 0.0:
-        return np.zeros(n)
-    thresh = tol.jacobi_threshold * scale
-    for _ in range(tol.jacobi_sweep_cap):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                rotated = True
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p].copy(), A[q].copy()
-                A[p] = c * rp - s * rq
-                A[q] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-        if not rotated:
-            return np.diag(A).copy()
-    raise NonConvergence(f"Jacobi sweep cap {tol.jacobi_sweep_cap} exceeded")
-
-
-def singular_values(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Singular values via the symmetric eigenproblem on M^T M."""
-    M = np.asarray(M, dtype=float)
-    gram = M.T @ M
-    eigs = symmetric_eigenvalues(gram, tol)
-    return np.sqrt(np.clip(eigs, 0.0, None))
-
-
-def opnorm(T, ctx: NormContext, p, tol: Tolerances = DEFAULT_TOL) -> float:
+def opnorm(T, ctx: NormContext, p) -> float:
     """Operator norm of T on L_p(pi) for p in {1, 2, inf}.
 
     p = inf: max row sum of |T| (the weighting cancels since pi > 0).
@@ -89,25 +38,25 @@ def opnorm(T, ctx: NormContext, p, tol: Tolerances = DEFAULT_TOL) -> float:
     pi = ctx.pi
     if T.shape != (pi.size, pi.size):
         raise DimensionMismatch(f"matrix shape {T.shape} does not match pi of length {pi.size}")
-    if p == np.inf or p == float("inf"):
+    if p == np.inf:
         return float(np.abs(T).sum(axis=1).max())
     if p == 1:
         return float(((pi[:, None] * np.abs(T)).sum(axis=0) / pi).max())
     if p == 2:
         d = np.sqrt(pi)
         conj = (d[:, None] * T) / d[None, :]
-        return float(singular_values(conj, tol).max())
+        return float(np.linalg.svd(conj, compute_uv=False)[0])
     raise OutOfRange("p must be one of 1, 2, inf")
 
 
-def contraction(chain: MarkovChain, tol: Tolerances = DEFAULT_TOL) -> float:
+def contraction(chain: MarkovChain) -> float:
     """lambda = ||A - E_pi|| on L2(pi).
 
     May exceed 1 for non-reversible chains; the value is returned as-is and
     callers mark dependent bounds vacuous.
     """
     E = averaging_operator(chain)
-    return opnorm(chain.transition - E, NormContext(chain.stationary), 2, tol)
+    return opnorm(chain.transition - E, NormContext(chain.stationary), 2)
 
 
 def power_deviation(chain: MarkovChain, k: int) -> np.ndarray:

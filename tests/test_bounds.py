@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchoeffding.bounds import (
-    BoundSpec,
     bound_fjs,
     bound_glss,
     bound_healy,
@@ -44,6 +43,13 @@ def test_rao_values():
         assert bound_rao(u, lam) == pytest.approx(1.38440125511069270773, rel=1e-13)
         assert is_vacuous(bound_rao(u, lam))
     assert bound_rao(30.0, 0.5) == pytest.approx(0.150543207920995340606, rel=1e-13)
+
+
+def test_is_vacuous_elementwise_and_nan_safe():
+    assert not is_vacuous(0.999)
+    assert is_vacuous(1.0) and is_vacuous(math.inf) and is_vacuous(math.nan)
+    np.testing.assert_array_equal(is_vacuous(np.array([0.5, 1.0, np.nan, 2.0, 0.0])),
+                                  [False, True, True, True, False])
 
 
 def test_mgf_level_bound():
@@ -164,15 +170,6 @@ def test_matrix_schatten_bound():
         4.09629414793640989298, rel=1e-13)
     with pytest.raises(LambdaGeOne):
         bound_matrix_schatten(1.0, 1.0, 2, 1.0, 1.0)
-
-
-def test_bound_spec_validation():
-    BoundSpec("rao")
-    BoundSpec("glss", {"c": 0.5})
-    with pytest.raises(OutOfRange):
-        BoundSpec("nope")
-    with pytest.raises(OutOfRange):
-        BoundSpec("glss", {"c": -1.0})
 
 
 def test_evaluate_tail_bounds_columns():

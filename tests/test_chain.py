@@ -43,6 +43,15 @@ def test_non_stochastic_rows_rejected():
         validate_chain([[-0.1, 1.1], [0.5, 0.5]])
 
 
+def test_non_finite_entries_rejected():
+    with pytest.raises(NonStochastic):
+        validate_chain([[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(NonStochastic):
+        validate_chain([[np.nan, 1.0], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(DegenerateStationary):
+        validate_chain([[0.5, 0.5], [0.5, 0.5]], [np.nan, 0.5])
+
+
 def test_shape_and_stationary_validation():
     with pytest.raises(DimensionMismatch):
         validate_chain([[0.5, 0.5]])

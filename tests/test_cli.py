@@ -33,6 +33,13 @@ def test_parse_grid_inclusive():
         parse_grid("0:8:-1")
 
 
+@pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.5", "0:inf:1", "-inf:0:1", "0:1e18:1"])
+def test_parse_grid_rejects_non_finite_and_huge(spec):
+    with pytest.raises(ValidationError):
+        parse_grid(spec)
+    assert main(["bounds", f"--u-grid={spec}", "--lambda", "0.5"]) == 1
+
+
 def test_bounds_subcommand(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["bounds", "--u-grid", "0:8:0.5", "--lambda", "0.5",
@@ -42,6 +49,12 @@ def test_bounds_subcommand(tmp_path):
     row = dict(zip(lines[0].split(","), lines[5].split(",")))
     assert float(row["u"]) == 2.0
     assert float(row["rao"]) == pytest.approx(bound_rao(2.0, 0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_bounds_rejects_non_finite_lambda(lam, capsys):
+    assert main(["bounds", "--u-grid", "0:2:1", f"--lambda={lam}"]) == 1
+    assert "--lambda must be finite" in capsys.readouterr().err
 
 
 def test_manifest_embedded(tmp_path):
@@ -108,6 +121,20 @@ def test_matrix_subcommand(tmp_path):
     assert blob["d"] == 4
     assert blob["mean_norm"] <= blob["b_norm"] + 1e-9
     assert math.isfinite(blob["fitted_C"])
+
+
+def test_matrix_rejects_bad_coefficients(tmp_path, capsys):
+    inf_file = tmp_path / "inf.json"
+    inf_file.write_text("[[1.0, Infinity], [Infinity, 1.0]]")
+    out = tmp_path / "m.json"
+    assert main(["matrix", "--b", str(inf_file), "--trials", "3", "--output", str(out)]) == 1
+    assert not out.exists()
+    text_file = tmp_path / "text.json"
+    text_file.write_text('[[1.0, "x"], ["x", 1.0]]')
+    assert main(["matrix", "--b", str(text_file), "--trials", "3"]) == 1
+    for d in ("0", "-2"):
+        assert main(["matrix", "--d", d, "--trials", "3"]) == 1
+    assert capsys.readouterr().err.count("error:") == 4
 
 
 def test_verify_subcommand(tmp_path, chain_file):

@@ -6,6 +6,7 @@ import pytest
 from mchoeffding import (
     CoefficientMatrix,
     SimConfig,
+    bound_matrix_schatten,
     build_markov_matrix,
     run_matrix_experiment,
     schatten_norm,
@@ -13,8 +14,10 @@ from mchoeffding import (
     two_state_chain,
     validate_chain,
 )
-from mchoeffding.errors import DimensionMismatch, InvalidOrder, OutOfRange
+from mchoeffding.errors import DimensionMismatch, InvalidOrder, OutOfRange, ValidationError
 from mchoeffding.matrixlab import FillOrder, diagonal_first_order, row_major_order, upper_indices
+from mchoeffding.montecarlo import sample_path
+from mchoeffding.rng import normal_block, trial_seeds
 
 
 def test_sigma_params_all_ones():
@@ -45,6 +48,15 @@ def test_coefficient_matrix_validation():
         CoefficientMatrix([[1.0, 0.0], [0.0, 1.0]])      # zero entries
     with pytest.raises(DimensionMismatch):
         CoefficientMatrix([[1.0, 2.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        CoefficientMatrix(np.ones((0, 0)))               # empty
+    for bad in ([[1.0, math.inf], [math.inf, 1.0]], [[math.inf]],
+                [[1.0, math.nan], [math.nan, 1.0]]):
+        with pytest.raises(OutOfRange):
+            CoefficientMatrix(bad)                       # non-finite
+    for bad in ([[1.0, "a"], ["a", 1.0]], [[1.0, 2.0], [2.0]], [[None]]):
+        with pytest.raises(ValidationError):
+            CoefficientMatrix(bad)                       # not a numeric matrix
 
 
 def test_fill_orders_are_bijective():
@@ -107,6 +119,10 @@ def test_schatten_diag_values():
     assert schatten_norm(M, math.inf) == pytest.approx(4.0)
     assert schatten_norm(M, 1) == pytest.approx(7.0)
     assert schatten_norm(M, 2) == pytest.approx(5.0)
+    # tridiagonal [[2,1,0],[1,2,1],[0,1,2]] has eigenvalues 2, 2 +- sqrt(2)
+    T = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
+    assert schatten_norm(T, math.inf) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-14)
+    assert schatten_norm(T, 1) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_schatten_inf_below_finite_p(rng):
@@ -144,6 +160,8 @@ def test_run_matrix_experiment_report():
     assert rep.sample_norms.max() <= rep.b_norm + 1e-9
     assert rep.ci_low <= rep.mean_norm <= rep.ci_high
     assert set(rep.bound_by_C) == {0.5, 1.0, 2.0, 4.0}
+    for C, value in rep.bound_by_C.items():
+        assert value == bound_matrix_schatten(rep.sigma, rep.sigma_star, 8, 0.5, rep.b_norm, C)
     assert math.isfinite(rep.fitted_C) and rep.fitted_C > 0
     assert rep.gaussian_mean > 0
     d = rep.to_dict()
@@ -158,3 +176,63 @@ def test_run_matrix_experiment_scalar_case():
                                 gaussian_trials=10)
     # |f| = 1 always, so every sample norm is exactly b_11
     assert rep.mean_norm == pytest.approx(2.0)
+    with pytest.raises(OutOfRange):
+        run_matrix_experiment(B, row_major_order(1), chain, [1.0, -1.0],
+                              SimConfig(trials=2, master_seed=6), lam=0.0, gaussian_trials=0)
+
+
+def _random_coefficients(rng, d):
+    M = rng.random((d, d)) + 0.05
+    return CoefficientMatrix((M + M.T) / 2)
+
+
+def _seed_scatter(B, order, chain, f, seed):
+    """The original per-entry fill loop, kept as the reference."""
+    m = (B.d * B.d + B.d) // 2
+    path = sample_path(chain, m, seed)
+    X = np.zeros((B.d, B.d))
+    for (i, j), k in order.omega.items():
+        x = f[path[k - 1]] * B.entries[i, j]
+        X[i, j] = x
+        X[j, i] = x
+    return X
+
+
+@pytest.mark.parametrize("d", [1, 2, 7])
+def test_fill_matches_seed_scatter_loop(rng, d):
+    B = _random_coefficients(rng, d)
+    chain = validate_chain([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]])
+    f = np.array([1.0, -0.4, 0.0])
+    f -= f @ chain.stationary
+    f /= np.abs(f).max()
+    for order in (row_major_order(d), diagonal_first_order(d)):
+        for seed in (0, 17, 2**40 + 3):
+            X = build_markov_matrix(B, order, chain, list(f), seed)
+            np.testing.assert_array_equal(X, _seed_scatter(B, order, chain, f, seed))
+
+
+def test_run_matrix_experiment_matches_numpy_rebuild(rng):
+    # independent route: fill the upper triangle with np.triu_indices, mirror it,
+    # and take numpy's symmetric eigenvalues
+    d, trials, g_trials, master = 6, 30, 25, 77
+    B = _random_coefficients(rng, d)
+    chain = two_state_chain(0.4)
+    f = np.array([1.0, -1.0])
+    rep = run_matrix_experiment(B, row_major_order(d), chain, list(f),
+                                SimConfig(trials=trials, master_seed=master), lam=0.4,
+                                gaussian_trials=g_trials)
+    iu = np.triu_indices(d)
+    m = len(iu[0])
+
+    def rebuild(values):
+        X = np.zeros((len(values), d, d))
+        X[:, iu[0], iu[1]] = values * B.entries[iu]
+        X = X + np.triu(X, 1).transpose(0, 2, 1)
+        return np.abs(np.linalg.eigvalsh(X)).max(axis=1)
+
+    paths = np.array([sample_path(chain, m, int(s)) for s in trial_seeds(master, trials)])
+    np.testing.assert_allclose(rep.sample_norms, rebuild(f[paths]), rtol=1e-12, atol=0)
+    g_seed = int(trial_seeds(master ^ 0x3C3C3C3C, 1)[0])
+    g = normal_block(trial_seeds(g_seed, g_trials), m)
+    assert rep.gaussian_mean == pytest.approx(rebuild(g).mean(), rel=1e-12)
+    assert rep.b_norm == pytest.approx(np.abs(np.linalg.eigvalsh(B.entries)).max(), rel=1e-12)

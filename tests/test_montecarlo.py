@@ -26,7 +26,7 @@ from mchoeffding.montecarlo import (
     sample_paths,
     simulate_sums,
 )
-from mchoeffding.rng import trial_seeds, uniform_block
+from mchoeffding.rng import normal_block, trial_seeds, uniform_block
 
 from conftest import random_chain, random_lattice_family
 
@@ -176,6 +176,33 @@ def test_vector_sum_tail_orthonormal_cross_check(rng):
     report = estimate_vector_sum_tail(chain, funcs, np.eye(3), "euclidean",
                                       [t], SimConfig(trials=20_000, master_seed=8))
     assert report.ci_low[0] - 1e-9 <= exact_p <= report.ci_high[0] + 1e-9
+
+
+def test_vector_sum_tail_schatten_inf_matches_per_matrix_svd(rng):
+    chain = random_chain(rng, 3)
+    funcs = random_lattice_family(rng, chain, 4)
+    X = rng.normal(size=(4, 3, 3))
+    X[:, 0, 1] += 2.0                       # clearly non-symmetric
+    cfg = SimConfig(trials=400, master_seed=12)
+
+    def svd_norms(sums):
+        return np.array([np.linalg.svd(M, compute_uv=False).max() for M in sums])
+
+    states = sample_paths(chain, 4, cfg)
+    coeff = np.stack([funcs.values[i][states[:, i]] for i in range(4)], axis=1)
+    norms = np.sort(svd_norms(np.tensordot(coeff, X, axes=(1, 0))))
+    # thresholds halfway between distinct norms, away from the 1e-12 tie slack
+    distinct = np.unique(norms)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    thresholds = mids[np.linspace(0, len(mids) - 1, 6).astype(int)]
+    report = estimate_vector_sum_tail(chain, funcs, X, "schatten_inf", thresholds, cfg,
+                                      gaussian_trials=300)
+    np.testing.assert_array_equal(report.estimates,
+                                  [(norms >= t).mean() for t in thresholds])
+    g_seed = int(trial_seeds(cfg.master_seed ^ 0x5A5A5A5A, 1)[0])
+    g = normal_block(trial_seeds(g_seed, 300), 4)
+    g_mean = svd_norms(np.tensordot(g, X, axes=(1, 0))).mean()
+    assert report.extra["gaussian_norm_mean"] == pytest.approx(g_mean, rel=1e-12)
 
 
 def test_tightness_direction_in_lambda():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mchoeffding import NormContext, contraction, opnorm, power_deviation, two_state_chain, validate_chain
 from mchoeffding.chain import averaging_operator
 from mchoeffding.errors import DimensionMismatch, OutOfRange
-from mchoeffding.spectral import singular_values, symmetric_eigenvalues
 
 from conftest import random_chain
 
@@ -118,21 +117,3 @@ def test_contraction_invariant_under_relabeling(rng):
         A = chain.transition[np.ix_(perm, perm)]
         chain2 = validate_chain(A, chain.stationary[perm])
         assert contraction(chain2) == pytest.approx(contraction(chain), abs=1e-10)
-
-
-def test_jacobi_matches_numpy(rng):
-    # tridiagonal [[2,1,0],[1,2,1],[0,1,2]] has eigenvalues 2, 2 +- sqrt(2)
-    T = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-    got = np.sort(symmetric_eigenvalues(T))
-    np.testing.assert_allclose(got, [2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)], atol=1e-10)
-    for _ in range(5):
-        S = rng.normal(size=(6, 6))
-        S = S + S.T
-        np.testing.assert_allclose(np.sort(symmetric_eigenvalues(S)),
-                                   np.linalg.eigvalsh(S), atol=1e-9)
-
-
-def test_singular_values_match_numpy(rng):
-    M = rng.normal(size=(5, 5))
-    np.testing.assert_allclose(np.sort(singular_values(M)),
-                               np.sort(np.linalg.svd(M, compute_uv=False)), atol=1e-9)
