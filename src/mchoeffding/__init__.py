@@ -14,7 +14,6 @@ from .bounds import (
     bound_moment,
     bound_monomial,
     bound_rao,
-    enumerate_admissible_strings,
 )
 from .chain import (
     FunctionFamily,

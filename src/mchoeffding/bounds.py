@@ -3,19 +3,18 @@
 Conventions: raw bound values are returned unclamped (they can exceed 1);
 reports attach a `vacuous` flag instead of clipping, so the mathematical
 object survives for plotting.  Symbolic universal constants default to 1 and
-are configurable per call.
+are configurable per call.  The monomial bound's sum over admissible strings
+is a two-state recurrence, linear in the monomial's degree q, with no cap on q.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
-from .errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, TooLarge, Unsorted
+from .errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, Unsorted
 
 RAO_DENOMINATOR = 64.0 * math.e
-
-MAX_STRING_Q = 30
 
 
 def _check_u(u):
@@ -70,66 +69,40 @@ def is_vacuous(value):
     return ~(np.asarray(value, dtype=float) < 1.0)
 
 
-@dataclass(frozen=True)
-class AdmissibleStrings:
-    """S_{q-1}: bit strings of length q-1 with endpoints 1 and no two
-    consecutive zeros, indexing the surviving terms of the monomial bound."""
+def _admissible_sum(x) -> float:
+    """Sum over the admissible strings s of length len(x) (endpoints 1, no
+    two consecutive zeros) of prod over {j : s_j = 1} of x_j.
 
-    q: int
-    strings: tuple
-
-
-def enumerate_admissible_strings(q: int) -> AdmissibleStrings:
-    """Exhaustively enumerate S_{q-1} for q >= 2; |S_{q-1}| <= 2^q."""
-    if q < 2:
-        raise OutOfRange("q must be at least 2")
-    if q > MAX_STRING_Q:
-        raise TooLarge(f"q = {q} exceeds the enumeration guard {MAX_STRING_Q}")
-    k = q - 1
-    if k == 1:
-        return AdmissibleStrings(q=q, strings=((1,),))
-
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        choices = (1,) if len(prefix) == k - 1 else (0, 1)
-        for b in choices:
-            if b == 0 and prefix[-1] == 0:
-                continue
-            extend(prefix + (b,))
-
-    extend((1,))
-    return AdmissibleStrings(q=q, strings=tuple(out))
+    A two-state recurrence on the last bit: end1 and end0 sum the products
+    of the admissible prefixes ending in 1 and in 0.  O(len(x)) time."""
+    end1, end0 = x[0], 0.0
+    for xj in x[1:]:
+        end1, end0 = (end1 + end0) * xj, end1
+    return end1
 
 
 def bound_monomial(w, lam: float, a) -> float:
     """Right side of the monomial lemma:
 
         a_{w_1} ... a_{w_q} * sum over s in S_{q-1} of
-        prod over i with s_i = 1 of lam^{w_{i+1} - w_i}.
+        prod over i with s_i = 1 of lam^{w_{i+1} - w_i},
 
-    `w` is 1-based, nondecreasing, with entries indexing `a`.
+    where S_{q-1} holds the bit strings of length q-1 with endpoints 1 and no
+    two consecutive zeros.  `w` is 1-based, nondecreasing, with entries in
+    1..len(a).
     """
     w = list(w)
+    a = np.asarray(a, dtype=float)
     if len(w) < 2:
         raise OutOfRange("w must have length at least 2")
     if any(b < c for b, c in zip(w[1:], w[:-1])):
         raise Unsorted("w must be nondecreasing")
-    if lam < 0:
+    if not (all(isinstance(i, numbers.Integral) for i in w) and 1 <= w[0] <= w[-1] <= a.size):
+        raise OutOfRange(f"w entries must be integers in 1..{a.size}, got {w[0]}..{w[-1]}")
+    if not lam >= 0:
         raise OutOfRange("lam must be nonnegative")
-    a = np.asarray(a, dtype=float)
     prefactor = float(np.prod([a[i - 1] for i in w]))
-    total = 0.0
-    for s in enumerate_admissible_strings(len(w)).strings:
-        term = 1.0
-        for i, bit in enumerate(s):
-            if bit == 1:
-                term *= lam ** (w[i + 1] - w[i])
-        total += term
-    return prefactor * total
+    return prefactor * _admissible_sum([lam ** (c - b) for b, c in zip(w[:-1], w[1:])])
 
 
 def bound_moment(q: int, lam: float, a) -> float:

@@ -9,7 +9,6 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     DegenerateStationary,
     DimensionMismatch,
-    NonConvergence,
     NonStochastic,
     NotMeanZero,
     NotStationary,
@@ -61,25 +60,43 @@ def _freeze(a):
     return a
 
 
-def _stationary_by_power_iteration(A, tol: Tolerances):
+def _floats(x, name):
+    """x as a float array; ragged or non-numeric input raises ValidationError."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from exc
+
+
+def _solve_stationary(A):
+    """The unique pi with pi A = pi and sum(pi) = 1, from a least-squares
+    solve of the augmented system [A^T - I; 1^T] pi = e_{N+1}.
+
+    The system has full column rank exactly when pi is unique; a lower rank
+    means the chain has more than one closed class."""
     n = A.shape[0]
-    p = np.full(n, 1.0 / n)
-    for _ in range(tol.power_iter_cap):
-        q = p @ A
-        if np.abs(q - p).sum() < tol.power_residual:
-            return q / q.sum()
-        p = q
-    raise NonConvergence("power iteration did not reach the residual threshold")
+    M = np.vstack([A.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    if rank < n:
+        raise DegenerateStationary(
+            "the stationary distribution is not unique (the chain is reducible); "
+            "supply 'stationary'")
+    return pi
 
 
 def validate_chain(transition, stationary=None, tol: Tolerances = DEFAULT_TOL) -> MarkovChain:
     """Validate a transition matrix (and optional stationary vector) into a MarkovChain.
 
-    When `stationary` is omitted it is computed by power iteration; chains
-    whose stationary distribution has an entry <= tol.degenerate_pi are
-    rejected rather than pruned.
+    When `stationary` is omitted it is solved for directly; a chain whose
+    stationary distribution is not unique (a reducible chain) must supply it.
+    Solved and supplied vectors pass the same checks: length N, every entry
+    above tol.degenerate_pi (chains with transient states are rejected rather
+    than pruned), sum 1 within tol.row_sum, and |pi A - pi| within
+    tol.stationarity.
     """
-    A = np.array(transition, dtype=float)
+    A = _floats(transition, "transition")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got shape {A.shape}")
     if not np.all((A >= 0) & (A <= 1)):
@@ -88,20 +105,16 @@ def validate_chain(transition, stationary=None, tol: Tolerances = DEFAULT_TOL) -
     if np.any(row_err > tol.row_sum):
         raise NonStochastic(f"row sums off by up to {row_err.max():.3g}")
 
-    if stationary is None:
-        pi = _stationary_by_power_iteration(A, tol)
-        if np.any(pi <= tol.degenerate_pi):
-            raise DegenerateStationary(f"computed stationary entry as small as {pi.min():.3g}")
-    else:
-        pi = np.array(stationary, dtype=float)
-        if pi.shape != (A.shape[0],):
-            raise DimensionMismatch("stationary vector length must match the state count")
-        if not np.all(pi > tol.degenerate_pi):
-            raise DegenerateStationary("stationary entries must be strictly positive")
-        if abs(pi.sum() - 1.0) > tol.row_sum:
-            raise NotStationary(f"stationary vector sums to {pi.sum():.12g}")
-        if np.abs(pi @ A - pi).max() > tol.stationarity:
-            raise NotStationary("supplied vector is not fixed by the transition matrix")
+    pi = _solve_stationary(A) if stationary is None else _floats(stationary, "stationary")
+    if pi.shape != (A.shape[0],):
+        raise DimensionMismatch("stationary vector length must match the state count")
+    if not np.all(pi > tol.degenerate_pi):
+        raise DegenerateStationary(
+            f"stationary entries must be strictly positive, got one as small as {pi.min():.3g}")
+    if abs(pi.sum() - 1.0) > tol.row_sum:
+        raise NotStationary(f"stationary vector sums to {pi.sum():.12g}")
+    if np.abs(pi @ A - pi).max() > tol.stationarity:
+        raise NotStationary("stationary vector is not fixed by the transition matrix")
     return MarkovChain(transition=_freeze(A), stationary=_freeze(pi))
 
 
@@ -129,17 +142,19 @@ def make_family(values, bounds=None, chain: MarkovChain | None = None,
                 tol: Tolerances = DEFAULT_TOL) -> FunctionFamily:
     """Build a FunctionFamily, defaulting bounds to max |f_i| and validating
     the mean-zero property against `chain` when supplied."""
-    V = np.array(values, dtype=float)
+    V = _floats(values, "function values")
     if V.ndim != 2:
         raise DimensionMismatch("values must be an n x N matrix")
+    if not np.all(np.isfinite(V)):
+        raise OutOfRange("function values must be finite")
     if bounds is None:
         a = np.abs(V).max(axis=1)
     else:
-        a = np.array(bounds, dtype=float)
+        a = _floats(bounds, "function bounds")
         if a.shape != (V.shape[0],):
             raise DimensionMismatch("bounds length must match the step count")
-        if np.any(a < 0):
-            raise OutOfRange("bounds must be nonnegative")
+        if not np.all(np.isfinite(a) & (a >= 0)):
+            raise OutOfRange("bounds must be finite and nonnegative")
         if np.any(np.abs(V) > a[:, None] + 1e-12):
             raise OutOfRange("|f_i(v)| exceeds its bound a_i")
     fam = FunctionFamily(values=_freeze(V), bounds=_freeze(a))
@@ -170,16 +185,27 @@ def chain_to_dict(chain: MarkovChain, funcs: FunctionFamily | None = None) -> di
 
 def chain_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL):
     """Parse the JSON chain schema; returns (MarkovChain, FunctionFamily or None)."""
-    if "transition" not in data:
-        raise ValidationError("missing 'transition' field")
+    if not isinstance(data, dict) or "transition" not in data:
+        raise ValidationError("a chain must be a JSON object with a 'transition' field")
     chain = validate_chain(data["transition"], data.get("stationary"), tol)
     funcs = None
     if "functions" in data:
         f = data["functions"]
+        if not isinstance(f, dict) or "values" not in f:
+            raise ValidationError("'functions' must be an object with a 'values' field")
         funcs = make_family(f["values"], f.get("bounds"), chain=chain, tol=tol)
     return chain, funcs
 
 
+def read_json(path):
+    """Parse a JSON file; a missing or unreadable file or malformed JSON raises
+    ValidationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def load_chain(path, tol: Tolerances = DEFAULT_TOL):
-    with open(path) as fh:
-        return chain_from_dict(json.load(fh), tol)
+    return chain_from_dict(read_json(path), tol)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import evaluate_tail_bounds, is_vacuous
-from .chain import averaging_operator, load_chain, two_state_chain
+from .chain import averaging_operator, load_chain, read_json, two_state_chain
 from .config import DEFAULT_TOL
 from .errors import NumericError, TooLarge, ValidationError
 from .matrixlab import (
@@ -179,8 +179,7 @@ def _cmd_simulate(args, manifest):
 
 def _cmd_matrix(args, manifest):
     if args.b:
-        with open(args.b) as fh:
-            B = CoefficientMatrix(json.load(fh))
+        B = CoefficientMatrix(read_json(args.b))
     elif args.d < 1:
         raise ValidationError(f"--d must be at least 1, got {args.d}")
     elif args.pattern == "all-ones":

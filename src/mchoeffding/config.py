@@ -2,6 +2,8 @@
 
 Every threshold used by validation and the verification suites lives here so
 acceptance runs are reproducible against a single configuration record.
+`degenerate_pi`, `row_sum` and `stationarity` check solved and supplied
+stationary vectors alike.
 """
 
 from dataclasses import dataclass
@@ -13,8 +15,6 @@ class Tolerances:
     stationarity: float = 1e-9       # |pi A - pi| per coordinate
     mean_zero: float = 1e-9          # |sum_v pi_v f_i(v)|
     degenerate_pi: float = 1e-12     # stationary entries at or below this are rejected
-    power_residual: float = 1e-12    # power-iteration stopping residual
-    power_iter_cap: int = 10**6
     projector: float = 1e-12         # E_pi identities
     entrywise_identity: float = 1e-10  # A^k - E_pi vs (A - E_pi)^k
     oracle_agreement: float = 1e-10

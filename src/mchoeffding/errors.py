@@ -10,7 +10,7 @@ class ValidationError(McHoeffdingError):
 
 
 class NumericError(McHoeffdingError):
-    """A computation failed to converge or left the representable range."""
+    """A computation left the representable range."""
 
 
 class NonStochastic(ValidationError):
@@ -70,8 +70,4 @@ class EmptyInput(ValidationError):
 
 
 class Overflow(NumericError):
-    pass
-
-
-class NonConvergence(NumericError):
     pass

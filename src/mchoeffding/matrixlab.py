@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import bound_matrix_schatten
 from .chain import MarkovChain, make_family
 from .errors import DimensionMismatch, InvalidOrder, OutOfRange
-from .montecarlo import SimConfig, _Z95, sample_path
+from .montecarlo import SimConfig, _mean_interval, sample_path
 from .rng import normal_block, trial_seeds
 
 
@@ -185,8 +185,7 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
     seeds = trial_seeds(cfg.master_seed, cfg.trials)
     norms = _spectral_norms(np.stack([
         build_markov_matrix(B, order, chain, f_values, int(s)) for s in seeds]))
-    mean = float(norms.mean())
-    sem = float(norms.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+    mean, ci_low, ci_high = _mean_interval(norms)
     sigma, sigma_star = sigma_params(B)
     b_norm = schatten_norm(B.entries, math.inf)
     bound_by_C = {}
@@ -200,7 +199,7 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
     g_mean = gaussian_counterpart_mean(B, gaussian_trials, g_seed)
     return MatrixExperimentReport(
         d=B.d, lam=float(lam), trials=cfg.trials, master_seed=cfg.master_seed,
-        mean_norm=mean, ci_low=mean - _Z95 * sem, ci_high=mean + _Z95 * sem,
+        mean_norm=mean, ci_low=ci_low, ci_high=ci_high,
         sigma=sigma, sigma_star=sigma_star, b_norm=b_norm,
         bound_by_C=bound_by_C, fitted_C=fitted_C, gaussian_mean=g_mean,
         sample_norms=norms)

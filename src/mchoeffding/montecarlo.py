@@ -203,6 +203,14 @@ def _norms(sums: np.ndarray, norm_kind: str) -> np.ndarray:
     raise OutOfRange(f"unknown norm kind {norm_kind!r}")
 
 
+def _mean_interval(x: np.ndarray):
+    """(mean, low, high): the sample mean -+ z_95 standard errors; the
+    interval collapses to the mean for a single sample."""
+    mean = float(x.mean())
+    sem = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return mean, mean - _Z95 * sem, mean + _Z95 * sem
+
+
 def estimate_gaussian_norm(x_vectors, norm_kind: str, cfg: SimConfig):
     """Monte Carlo E[||g_1 X_1 + ... + g_n X_n||] with a standard-error CI.
 
@@ -213,10 +221,7 @@ def estimate_gaussian_norm(x_vectors, norm_kind: str, cfg: SimConfig):
     n = X.shape[0]
     g = normal_block(trial_seeds(cfg.master_seed, cfg.trials), n)
     sums = np.tensordot(g, X, axes=(1, 0))
-    norms = _norms(sums, norm_kind)
-    mean = float(norms.mean())
-    sem = float(norms.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    return mean, mean - _Z95 * sem, mean + _Z95 * sem
+    return _mean_interval(_norms(sums, norm_kind))
 
 
 def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vectors,

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import _admissible_sum
 from .chain import FunctionFamily, MarkovChain
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -267,14 +268,12 @@ def verify_holder_application(pi, u_vectors, T_matrices,
 
     Requires each u_i mean-zero under pi.  Returns (lhs, rhs).
     """
-    from .bounds import enumerate_admissible_strings
-
     pi = np.asarray(pi, dtype=float)
     us = [np.asarray(u, dtype=float) for u in u_vectors]
     Ts = [np.asarray(T, dtype=float) for T in T_matrices]
     k = len(Ts)
-    if len(us) != k + 1:
-        raise DimensionMismatch("need k matrices and k+1 vectors")
+    if k < 1 or len(us) != k + 1:
+        raise DimensionMismatch("need k >= 1 matrices and k+1 vectors")
     for u in us:
         if abs(float(pi @ u)) > tol.mean_zero:
             raise NotMeanZero("every u_i must satisfy pi . u_i = 0")
@@ -285,16 +284,8 @@ def verify_holder_application(pi, u_vectors, T_matrices,
         v = us[j] * v
     lhs = abs(float(pi @ v))
     ctx = NormContext(pi)
-    t_norms = [opnorm(T, ctx, 2) for T in Ts]
     u_sup = math.prod(float(np.abs(u).max()) for u in us)
-    total = 0.0
-    for s in enumerate_admissible_strings(k + 1).strings:
-        term = 1.0
-        for j, bit in enumerate(s):
-            if bit == 1:
-                term *= t_norms[j]
-        total += term
-    return lhs, u_sup * total
+    return lhs, u_sup * _admissible_sum([opnorm(T, ctx, 2) for T in Ts])
 
 
 def evaluate_projector_chain_claim(pi, R_matrices):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,21 @@ def random_lattice_family(rng, chain, n, span=2):
     g = np.array(rows)
     centered = g - (g @ chain.stationary)[:, None]
     return make_family(centered, chain=chain)
+
+
+def brute_force_strings(k):
+    """Every admissible string of length k: endpoints 1, no two consecutive zeros."""
+    out = set()
+    for bits in itertools.product((0, 1), repeat=k):
+        if bits[0] == 1 and bits[-1] == 1 and "00" not in "".join(map(str, bits)):
+            out.add(bits)
+    return out
+
+
+def brute_force_string_sum(x):
+    """Sum over the admissible strings s of length len(x) of prod_{s_j = 1} x_j."""
+    return sum(math.prod(xj for xj, bit in zip(x, s) if bit)
+               for s in brute_force_strings(len(x)))
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -16,11 +15,13 @@ from mchoeffding.bounds import (
     bound_moment,
     bound_monomial,
     bound_rao,
-    enumerate_admissible_strings,
+    _admissible_sum,
     evaluate_tail_bounds,
     is_vacuous,
 )
-from mchoeffding.errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, TooLarge, Unsorted
+from mchoeffding.errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, Unsorted
+
+from conftest import brute_force_string_sum, brute_force_strings
 
 
 def test_iid_hoeffding_values():
@@ -96,46 +97,36 @@ def test_monotonicity_in_u_and_lambda():
 
 
 def test_admissible_strings_small_cases():
-    assert enumerate_admissible_strings(2).strings == ((1,),)
-    assert enumerate_admissible_strings(3).strings == ((1, 1),)
-    assert set(enumerate_admissible_strings(4).strings) == {(1, 1, 1), (1, 0, 1)}
+    # S_1 = {1}, S_2 = {11}, S_3 = {111, 101}, S_4 = {1111, 1011, 1101}
+    assert _admissible_sum([2.0]) == 2.0
+    assert _admissible_sum([2.0, 3.0]) == 6.0
+    assert _admissible_sum([2.0, 3.0, 5.0]) == 30.0 + 10.0
+    assert _admissible_sum([2.0, 3.0, 5.0, 7.0]) == 210.0 + 70.0 + 42.0
 
 
-def test_admissible_strings_guards():
-    with pytest.raises(OutOfRange):
-        enumerate_admissible_strings(1)
-    with pytest.raises(TooLarge):
-        enumerate_admissible_strings(31)
-
-
-def _brute_force_strings(k):
-    out = set()
-    for bits in itertools.product((0, 1), repeat=k):
-        if bits[0] == 1 and bits[-1] == 1 and "00" not in "".join(map(str, bits)):
-            out.add(bits)
-    return out
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=12))
-def test_admissible_strings_match_brute_force(q):
-    got = set(enumerate_admissible_strings(q).strings)
-    assert got == _brute_force_strings(q - 1)
-    assert len(got) <= 2**q
-
-
-def test_admissible_strings_even_position_cover():
-    # in every admissible string, each adjacent pair covers at least one 1
-    for q in range(2, 12):
-        for s in enumerate_admissible_strings(q).strings:
-            for a, b in zip(s, s[1:]):
-                assert a == 1 or b == 1
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_admissible_strings_match_brute_force(data):
+    q = data.draw(st.integers(min_value=2, max_value=14))
+    n = data.draw(st.integers(min_value=1, max_value=20))
+    w = sorted(data.draw(st.lists(st.integers(min_value=1, max_value=n),
+                                  min_size=q, max_size=q)))
+    lam = data.draw(st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False))
+    a = data.draw(st.lists(st.floats(min_value=0.1, max_value=2.0), min_size=n, max_size=n))
+    prefactor = math.prod(a[i - 1] for i in w)
+    expected = prefactor * brute_force_string_sum(
+        [lam ** (c - b) for b, c in zip(w[:-1], w[1:])])
+    assert bound_monomial(w, lam, a) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def test_admissible_counts_follow_fibonacci():
-    counts = [len(enumerate_admissible_strings(q).strings) for q in range(2, 14)]
-    for i in range(2, len(counts)):
-        assert counts[i] == counts[i - 1] + counts[i - 2]
+    # at lam = 1 every string counts 1, and |S_k| is the k-th Fibonacci number
+    fib = [1, 1]
+    while len(fib) < 39:
+        fib.append(fib[-1] + fib[-2])
+    for q in range(2, 41):
+        assert bound_monomial(range(1, q + 1), 1.0, np.ones(q)) == fib[q - 2]
+    assert bound_monomial(range(1, 41), 1.0, np.ones(40)) == 63245986
 
 
 def test_monomial_examples():
@@ -146,9 +137,23 @@ def test_monomial_examples():
         bound_monomial([2, 1], 0.5, [1.0, 1.0])
 
 
+def test_monomial_rejects_bad_indices_and_lambda():
+    for w in ([0, 1], [1, 3], [1, 5], [-1, 2], [1.5, 2], [1.0, 2.0]):
+        with pytest.raises(OutOfRange):
+            bound_monomial(w, 0.5, [1.0, 3.0])
+    for w in ([], [1]):
+        with pytest.raises(OutOfRange):
+            bound_monomial(w, 0.5, [1.0, 3.0])
+    for lam in (-0.1, math.nan):
+        with pytest.raises(OutOfRange):
+            bound_monomial([1, 2], lam, [1.0, 3.0])
+    assert bound_monomial([1, 2], 0.5, [1.0, 3.0]) == 1.5
+    assert bound_monomial(np.array([1, 2]), 0.5, [1.0, 3.0]) == 1.5
+
+
 def test_monomial_counts_strings_at_lambda_one():
     for q in range(2, 8):
-        expected = len(enumerate_admissible_strings(q).strings)
+        expected = len(brute_force_strings(q - 1))
         assert bound_monomial(list(range(1, q + 1)), 1.0, np.ones(q)) == pytest.approx(expected)
 
 

@@ -31,9 +31,39 @@ def test_identity_accepts_any_stationary():
     assert np.allclose(chain.stationary, [0.5, 0.5])
 
 
-def test_stationary_computed_by_power_iteration():
+def test_stationary_solved_directly():
     chain = validate_chain([[0.7, 0.3], [0.2, 0.8]])
     np.testing.assert_allclose(chain.stationary, [0.4, 0.6], atol=1e-11)
+    # slow-mixing two-state chain: pi = (b, a) / (a + b)
+    slow = validate_chain([[1 - 1e-5, 1e-5], [2e-5, 1 - 2e-5]])
+    np.testing.assert_allclose(slow.stationary, [2 / 3, 1 / 3], rtol=0, atol=1e-11)
+    # periodic chain: unique pi although A^k does not converge
+    periodic = validate_chain([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
+    np.testing.assert_allclose(periodic.stationary, [0.25, 0.5, 0.25], rtol=0, atol=1e-14)
+
+
+def test_stationary_matches_left_eigenvector(rng):
+    for n in (2, 3, 5, 8, 17, 33, 64):
+        # irreducible through the cycle i -> i+1, with about half the other entries zero
+        A = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        A[np.arange(n), (np.arange(n) + 1) % n] += rng.random(n) + 0.1
+        A /= A.sum(axis=1, keepdims=True)
+        vals, vecs = np.linalg.eig(A.T)
+        v = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+        chain = validate_chain(A)
+        np.testing.assert_allclose(chain.stationary, v / v.sum(), rtol=1e-9, atol=1e-13)
+
+
+def test_reducible_chains_need_stationary():
+    two_classes = [[0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 0.3, 0.7], [0, 0, 0.6, 0.4]]
+    for A in (two_classes, np.eye(3)):
+        with pytest.raises(DegenerateStationary, match="supply 'stationary'"):
+            validate_chain(A)
+    chain = validate_chain(two_classes, [0.25, 0.25, 3 / 13, 3.5 / 13])
+    assert chain.n_states == 4
+    # one closed class and a transient state: pi is unique but not positive
+    with pytest.raises(DegenerateStationary, match="strictly positive"):
+        validate_chain([[0.5, 0.5], [0.0, 1.0]])
 
 
 def test_non_stochastic_rows_rejected():
@@ -127,6 +157,17 @@ def test_make_family_validation():
         make_family([[1.0, 0.5]], chain=chain)
     fam = make_family([[2.0, -2.0]], chain=chain)
     assert fam.bounds[0] == 2.0
+
+
+@pytest.mark.parametrize("values,bounds", [
+    ([[np.nan, 0.0]], None),
+    ([[np.inf, -np.inf]], None),
+    ([[1.0, -1.0]], [np.nan]),
+    ([[1.0, -1.0]], [np.inf]),
+])
+def test_make_family_rejects_non_finite(values, bounds):
+    with pytest.raises(OutOfRange, match="finite"):
+        make_family(values, bounds=bounds, chain=two_state_chain(0.3))
 
 
 def test_json_schema_roundtrip(tmp_path):

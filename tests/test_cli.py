@@ -154,3 +154,51 @@ def test_validation_errors_exit_one(tmp_path, chain_file, capsys):
     nofuncs = tmp_path / "nf.json"
     nofuncs.write_text(json.dumps({"transition": [[0.5, 0.5], [0.5, 0.5]]}))
     assert main(["simulate", "--chain", str(nofuncs), "--u-grid", "0:1:1"]) == 1
+
+
+@pytest.mark.parametrize("option,content", [
+    ("--chain", None),
+    ("--b", None),
+    ("--chain", "[[1,"),
+    ("--b", "[[1,"),
+    ("--chain", json.dumps({"transition": [[0.5, 0.5], [0.5, 0.5]],
+                            "functions": {"bounds": [1.0]}})),
+    ("--chain", json.dumps([[0.5, 0.5], [0.5, 0.5]])),
+    ("--chain", json.dumps({"transition": [[0.5, 0.5], [0.5, 0.5]], "functions": [1, -1]})),
+    ("--chain", json.dumps({"transition": [[0.5, 0.5], [1.0]]})),
+    ("--chain", json.dumps({"transition": [[0.5, "a"], [0.5, 0.5]]})),
+    ("--chain", json.dumps({"transition": [[0.5, 0.5], [0.5, 0.5]], "stationary": [0.5, [0.5]]})),
+    ("--chain", json.dumps({"transition": [[0.5, 0.5], [0.5, 0.5]],
+                            "functions": {"values": [[1, -1], [1]]}})),
+])
+def test_bad_input_files_exit_one(tmp_path, capsys, option, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    argv = (["exact", "--chain", str(path)] if option == "--chain"
+            else ["matrix", "--b", str(path), "--trials", "3"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_finite_function_values_exit_one(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"transition": [[0.5, 0.5], [0.5, 0.5]], '
+                    '"functions": {"values": [[NaN, 0.0], [1.0, -1.0]]}}')
+    out = tmp_path / "m.json"
+    assert main(["exact", "--chain", str(path), "--q", "2", "--output", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stationary_solve_on_periodic_and_reducible_chains(tmp_path, capsys):
+    periodic = tmp_path / "periodic.json"
+    periodic.write_text(json.dumps({"transition": [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]}))
+    out = tmp_path / "s.json"
+    assert main(["spectral", "--chain", str(periodic), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["data"]["n_states"] == 3
+    reducible = tmp_path / "reducible.json"
+    reducible.write_text(json.dumps({"transition": [[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]}))
+    assert main(["spectral", "--chain", str(reducible)]) == 1
+    assert "supply 'stationary'" in capsys.readouterr().err

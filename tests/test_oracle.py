@@ -19,14 +19,21 @@ from mchoeffding import (
 )
 from mchoeffding.bounds import bound_monomial
 from mchoeffding.config import Tolerances
-from mchoeffding.errors import NotLattice, NotMeanZero, Overflow, TooLarge, Unsorted
+from mchoeffding.errors import (
+    DimensionMismatch,
+    NotLattice,
+    NotMeanZero,
+    Overflow,
+    TooLarge,
+    Unsorted,
+)
 from mchoeffding.oracle import (
     brute_force_monomial,
     evaluate_diagonal_chain_claim,
     evaluate_projector_chain_claim,
 )
 
-from conftest import random_chain, random_lattice_family
+from conftest import brute_force_string_sum, random_chain, random_lattice_family
 
 
 def _agree(x, y, tol=1e-10):
@@ -215,6 +222,25 @@ def test_holder_random_instances(rng):
         Ts = [rng.normal(size=(n, n)) for _ in range(k)]
         lhs, rhs = verify_holder_application(pi, us, Ts)
         assert lhs <= rhs + 1e-9
+
+
+def test_holder_rhs_matches_brute_force_string_sum(rng):
+    for k in range(1, 9):
+        n = int(rng.integers(2, 6))
+        pi = rng.random(n) + 0.05
+        pi /= pi.sum()
+        us = [_mean_zero_vector(rng, pi) for _ in range(k + 1)]
+        Ts = [rng.normal(size=(n, n)) for _ in range(k)]
+        _, rhs = verify_holder_application(pi, us, Ts)
+        # ||T||_{L2(pi)} is the spectral norm of D^{1/2} T D^{-1/2}, D = diag(pi)
+        t_norms = [np.linalg.norm(np.sqrt(pi)[:, None] * T / np.sqrt(pi), 2) for T in Ts]
+        u_sup = math.prod(np.abs(u).max() for u in us)
+        assert rhs == pytest.approx(u_sup * brute_force_string_sum(t_norms), rel=1e-12)
+
+
+def test_holder_needs_at_least_one_matrix():
+    with pytest.raises(DimensionMismatch):
+        verify_holder_application([0.5, 0.5], [[1, -1]], [])
 
 
 def test_projector_chain_claim(rng):
