@@ -17,7 +17,9 @@ from .errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, Unsorted
 RAO_DENOMINATOR = 64.0 * math.e
 
 
-def _check_u(u):
+def _check_u(u, lam=0.0):
+    if not (math.isfinite(u) and math.isfinite(lam)):
+        raise OutOfRange(f"u and lam must be finite, got u={u}, lam={lam}")
     if u < 0:
         raise NegativeU(f"u must be nonnegative, got {u}")
 
@@ -30,26 +32,26 @@ def bound_iid_hoeffding(u: float) -> float:
 
 def bound_healy(u: float, lam: float) -> float:
     """2 exp(-u^2 (1-lam) / 4); vacuous (>= 2) once lam >= 1."""
-    _check_u(u)
+    _check_u(u, lam)
     return 2.0 * math.exp(-(u * u) * (1.0 - lam) / 4.0)
 
 
 def bound_rao(u: float, lam: float) -> float:
     """2 exp(-u^2 (1-lam) / (64 e)), the a-weighted Markov-chain Hoeffding bound."""
-    _check_u(u)
+    _check_u(u, lam)
     return 2.0 * math.exp(-(u * u) * (1.0 - lam) / RAO_DENOMINATOR)
 
 
 def bound_mgf(u: float, lam: float) -> float:
     """Intermediate MGF-level bound 2 exp(u^2 (1-lam) / 64) at the tuned theta."""
-    _check_u(u)
+    _check_u(u, lam)
     return 2.0 * math.exp((u * u) * (1.0 - lam) / 64.0)
 
 
 def bound_fjs(u: float, lam: float) -> float:
     """Sharper comparator: 2 exp(-u^2 (1-lam) / (2 (1+lam))); equals the iid
     bound at lam = 0."""
-    _check_u(u)
+    _check_u(u, lam)
     if lam < 0:
         raise OutOfRange("lam must be nonnegative")
     return 2.0 * math.exp(-(u * u) * (1.0 - lam) / (2.0 * (1.0 + lam)))
@@ -57,7 +59,7 @@ def bound_fjs(u: float, lam: float) -> float:
 
 def bound_glss(u: float, lam: float, d: int, c: float = 1.0) -> float:
     """Matrix-valued comparator 2 d exp(-c (1-lam) u^2)."""
-    _check_u(u)
+    _check_u(u, lam)
     if c <= 0:
         raise OutOfRange("c must be positive")
     return 2.0 * d * math.exp(-c * (1.0 - lam) * u * u)

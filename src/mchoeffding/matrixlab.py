@@ -114,10 +114,11 @@ def _fill(B: CoefficientMatrix, order: FillOrder, values: np.ndarray) -> np.ndar
 
 
 def _spectral_norms(X: np.ndarray) -> np.ndarray:
-    """Largest singular value of each square matrix in a (..., d, d) stack."""
+    """Largest singular value of each square matrix in a (..., d, d) stack,
+    copied out so the full singular-value stack can be freed."""
     if X.shape[-1] != X.shape[-2]:
         raise DimensionMismatch("matrices must be square")
-    return np.linalg.svd(X, compute_uv=False)[..., 0]
+    return np.linalg.svd(X, compute_uv=False)[..., 0].copy()
 
 
 def schatten_norm(M, p) -> float:

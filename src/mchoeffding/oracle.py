@@ -1,8 +1,15 @@
 """Exact oracles for S_n = sum_i f_i(Y_i): moments, MGF, monomial expectations,
 and full lattice tail distributions via transfer-operator dynamic programming,
-with brute-force trajectory enumeration as the oracle of oracles."""
+with brute-force trajectory enumeration as the oracle of oracles.
 
-import itertools
+The enumeration never builds a (N^n, n) array of paths.  It broadcasts one
+step at a time: the path probabilities live in an (N,)*n array whose axis i
+is the state Y_{i+1}, grown by prob[..., None] * A, and per-path quantities
+(lattice indices, monomial factors) are broadcast along the same axes.
+Memory is O(N^n), and every path keeps its own product, so nothing is
+marginalised the way the DP does.
+"""
+
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,7 +105,10 @@ def exact_monomial_expectation(chain: MarkovChain, funcs: FunctionFamily, w) -> 
 def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTable:
     """All moments E[S_n^m], m = 0..q, by the binomial transfer recursion
 
-        M_{k+1}(v', m) = sum_j C(m, j) f_{k+1}(v')^j (M_k(., m-j) A)(v').
+        M_{k+1}(v', m) = sum_j C(m, j) f_{k+1}(v')^j (M_k(., m-j) A)(v'),
+
+    one Pascal-weighted contraction over (m, j) per step.  Raises Overflow
+    when a moment leaves the representable range.
     """
     _shape_check(chain, funcs)
     if q < 0:
@@ -106,23 +116,21 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
     if q > MAX_MOMENT_ORDER:
         raise TooLarge(f"q = {q} exceeds the cap {MAX_MOMENT_ORDER}")
     A = chain.transition
-    n, N = funcs.n_steps, chain.n_states
-    # M[m, v] = E[S_k^m ; Y_k = v]
-    M = np.zeros((q + 1, N))
-    f1 = funcs.values[0]
-    for m in range(q + 1):
-        M[m] = chain.stationary * f1**m
-    for k in range(1, n):
-        P = M @ A
-        f = funcs.values[k]
-        fpow = np.ones((q + 1, N))
-        for j in range(1, q + 1):
-            fpow[j] = fpow[j - 1] * f
-        newM = np.zeros_like(M)
-        for m in range(q + 1):
-            for j in range(m + 1):
-                newM[m] += math.comb(m, j) * fpow[j] * P[m - j]
-        M = newM
+    orders = np.arange(q + 1)
+    pascal = np.array([[math.comb(m, j) for j in orders] for m in orders], dtype=float)
+    lag = np.maximum(orders[:, None] - orders[None, :], 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # M[m, v] = E[S_k^m ; Y_k = v]
+        M = np.array([chain.stationary * funcs.values[0] ** m for m in range(q + 1)])
+        for f in funcs.values[1:]:
+            fpow = np.vander(f, q + 1, increasing=True).T      # fpow[j] = f^j
+            # terms[m, j] = C(m, j) f^j (M A)[m - j]; C(m, j) = 0 zeroes j > m.
+            # cumsum adds j = 0..m in order, like a sum started from +0.0,
+            # which the trailing + 0.0 matches in the sign of a zero total.
+            terms = pascal[:, :, None] * fpow * (M @ A)[lag]
+            M = np.cumsum(terms, axis=1)[:, -1] + 0.0
+    if not np.all(np.isfinite(M)):
+        raise Overflow("moment recursion left the representable range")
     return MomentTable(q=q, moments=M.sum(axis=1))
 
 
@@ -151,24 +159,23 @@ def _lattice_decomposition(funcs: FunctionFamily, tol: Tolerances):
     V = funcs.values
     base = float(V[:, 0].sum())
     diffs = V - V[:, :1]
-    fracs = []
-    for d in diffs.flat:
-        fr = Fraction(float(d)).limit_denominator(tol.lattice_max_denominator)
-        if abs(float(fr) - float(d)) > tol.lattice_residual:
+    # one rational approximation per distinct difference, in order of first appearance
+    uniq, first, inverse = np.unique(diffs.ravel(), return_index=True, return_inverse=True)
+    fracs = [None] * uniq.size
+    for u in np.argsort(first, kind="stable"):
+        d = float(uniq[u])
+        fr = Fraction(d).limit_denominator(tol.lattice_max_denominator)
+        if abs(float(fr) - d) > tol.lattice_residual:
             raise NotLattice(f"value difference {d!r} has no small rational form")
-        fracs.append(fr)
+        fracs[u] = fr
     nonzero = [f for f in fracs if f != 0]
     if not nonzero:
         return None, base, np.zeros_like(diffs, dtype=np.int64)
-    den_lcm = 1
-    for f in nonzero:
-        den_lcm = den_lcm * f.denominator // math.gcd(den_lcm, f.denominator)
+    den_lcm = math.lcm(*(f.denominator for f in nonzero))
     ints = [f.numerator * (den_lcm // f.denominator) for f in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints)
     pitch = Fraction(g, den_lcm)
-    K = (np.array(ints, dtype=np.int64) // g).reshape(diffs.shape)
+    K = (np.array(ints, dtype=np.int64) // g)[inverse].reshape(diffs.shape)
     return pitch, base, K
 
 
@@ -214,15 +221,18 @@ def exact_tail(chain: MarkovChain, funcs: FunctionFamily, threshold: float,
     return lattice_distribution(chain, funcs, tol).tail(threshold)
 
 
-def _enumerate_paths(chain: MarkovChain, n: int):
+def _path_probabilities(chain: MarkovChain, n: int) -> np.ndarray:
+    """Pr[Y_1 = v_1, ..., Y_n = v_n] as an (N,)*n array, one step at a time.
+
+    Each entry is pi(v_1) A(v_1, v_2) ... A(v_{n-1}, v_n), multiplied left to
+    right; C order lists the paths lexicographically, last step fastest."""
     N = chain.n_states
     if N**n > MAX_BRUTE_FORCE_PATHS:
         raise TooLarge(f"{N}^{n} trajectories exceed the enumeration guard")
-    paths = np.array(list(itertools.product(range(N), repeat=n)), dtype=np.int64)
-    probs = chain.stationary[paths[:, 0]].copy()
-    for i in range(1, n):
-        probs *= chain.transition[paths[:, i - 1], paths[:, i]]
-    return paths, probs
+    prob = chain.stationary.copy()
+    for _ in range(1, n):
+        prob = prob[..., None] * chain.transition
+    return prob
 
 
 def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
@@ -232,15 +242,16 @@ def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
     values, never the DP recursion."""
     _shape_check(chain, funcs)
     pitch, base, K = _lattice_decomposition(funcs, tol)
-    paths, probs = _enumerate_paths(chain, funcs.n_steps)
+    probs = _path_probabilities(chain, funcs.n_steps)
     if pitch is None:
         return LatticeDistribution(step=0.0, base=base,
                                    offsets=np.array([0]), probabilities=np.array([1.0]))
-    idx = np.zeros(len(paths), dtype=np.int64)
-    for i in range(funcs.n_steps):
-        idx += K[i][paths[:, i]]
+    idx = K[0]
+    for k in K[1:]:
+        idx = idx[..., None] + k
+    idx = idx.ravel()
     lo = int(idx.min())
-    agg = np.bincount(idx - lo, weights=probs)
+    agg = np.bincount(idx - lo, weights=probs.ravel())
     keep = agg > 0
     return LatticeDistribution(step=float(pitch), base=base,
                                offsets=np.arange(lo, lo + len(agg))[keep],
@@ -251,11 +262,12 @@ def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
     """E[prod_i f_{w_i}(Y_{w_i})] by trajectory enumeration up to max(w) steps."""
     w = list(w)
     n = max(w)
-    paths, probs = _enumerate_paths(chain, n)
-    vals = np.ones(len(paths))
+    probs = _path_probabilities(chain, n)
+    vals = np.ones(1)
     for i in w:
-        vals *= funcs.values[i - 1][paths[:, i - 1]]
-    return float(np.sum(probs * vals))
+        # f_i(Y_i) varies along axis i - 1 only
+        vals = vals * funcs.values[i - 1].reshape((-1,) + (1,) * (n - i))
+    return float(np.sum((probs * vals).ravel()))
 
 
 def verify_holder_application(pi, u_vectors, T_matrices,

@@ -17,8 +17,14 @@ _TWO_NEG_52 = 2.0**-52
 
 
 def splitmix64(x):
-    """Finalize 64-bit integers (scalar or array) into well-mixed uint64."""
-    z = np.asarray(x, dtype=np.uint64) + _GOLDEN
+    """Finalize 64-bit integers (scalar or array) into well-mixed uint64.
+
+    The multiplications wrap modulo 2^64 by design.  numpy warns about that
+    on scalars only, so a scalar goes through the 1-element array path."""
+    z = np.asarray(x, dtype=np.uint64)
+    if z.ndim == 0:
+        return splitmix64(z.reshape(1))[0]
+    z = z + _GOLDEN
     z = (z ^ (z >> _U64(30))) * _MIX1
     z = (z ^ (z >> _U64(27))) * _MIX2
     return z ^ (z >> _U64(31))

@@ -43,10 +43,16 @@ def opnorm(T, ctx: NormContext, p) -> float:
     if p == 1:
         return float(((pi[:, None] * np.abs(T)).sum(axis=0) / pi).max())
     if p == 2:
-        d = np.sqrt(pi)
-        conj = (d[:, None] * T) / d[None, :]
-        return float(np.linalg.svd(conj, compute_uv=False)[0])
+        return float(l2_opnorms(T, ctx))
     raise OutOfRange("p must be one of 1, 2, inf")
+
+
+def l2_opnorms(T, ctx: NormContext) -> np.ndarray:
+    """L2(pi) operator norm of each matrix in a (..., N, N) stack, from one
+    batched SVD of D^{1/2} T D^{-1/2}."""
+    d = np.sqrt(ctx.pi)
+    conj = (d[:, None] * T) / d[None, :]
+    return np.linalg.svd(conj, compute_uv=False)[..., 0].copy()
 
 
 def contraction(chain: MarkovChain) -> float:

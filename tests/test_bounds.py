@@ -84,6 +84,21 @@ def test_negative_u_rejected():
         bound_glss(-1.0, 0.5, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bound_rao(math.nan, 0.5),
+    lambda: bound_healy(1.0, math.nan),
+    lambda: bound_fjs(1.0, math.inf),
+    lambda: bound_iid_hoeffding(math.inf),
+    lambda: bound_mgf(1.0, -math.inf),
+    lambda: bound_glss(math.nan, 0.5, 2),
+    lambda: bound_glss(1.0, math.inf, 2),
+    lambda: evaluate_tail_bounds([0.0, 1.0], math.nan),
+])
+def test_non_finite_u_or_lambda_rejected(call):
+    with pytest.raises(OutOfRange):
+        call()
+
+
 def test_monotonicity_in_u_and_lambda():
     us = np.linspace(0, 10, 41)
     for lam in (0.0, 0.3, 0.8):

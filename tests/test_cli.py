@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mchoeffding import bound_rao, exact_moments, sign_family, two_state_chain
 from mchoeffding.chain import chain_to_dict
-from mchoeffding.cli import main, parse_grid
+import mchoeffding
+from mchoeffding.cli import build_parser, main, parse_grid
 from mchoeffding.errors import ValidationError
 
 
@@ -202,3 +206,45 @@ def test_stationary_solve_on_periodic_and_reducible_chains(tmp_path, capsys):
     reducible.write_text(json.dumps({"transition": [[1, 0, 0], [0, 0.5, 0.5], [0, 0.5, 0.5]]}))
     assert main(["spectral", "--chain", str(reducible)]) == 1
     assert "supply 'stationary'" in capsys.readouterr().err
+
+
+def _manifest(path):
+    """The stable manifest of a JSON or CSV output, or None when none was written."""
+    if not os.path.exists(path):
+        return None
+    text = open(path).read()
+    if text.startswith("# manifest: "):
+        return json.loads(text.splitlines()[0][len("# manifest: "):])
+    manifest = json.loads(text)["manifest"]
+    del manifest["duration_s"]
+    return manifest
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, chain_file):
+    """One process, one parser: a bad call, a good one and other subcommands
+    give the exit codes and manifests of fresh processes."""
+    assert build_parser() is build_parser()
+    calls = [
+        ["exact", "--chain", chain_file, "--q", "x"],        # argparse error
+        ["exact", "--chain", chain_file, "--q", "40"],       # ValidationError
+        ["exact", "--chain", chain_file, "--q", "3"],
+        ["verify", "--chain", chain_file],
+        ["exact", "--chain", chain_file, "--tail-grid", "0:2:1"],
+        ["bounds", "--u-grid", "0:2:1", "--lambda", "0.5"],
+    ]
+    src = os.path.dirname(os.path.dirname(mchoeffding.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = "import sys; from mchoeffding.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for i, argv in enumerate(calls):
+        here, fresh = str(tmp_path / f"here{i}"), str(tmp_path / f"fresh{i}")
+        try:
+            code = main(argv + ["--output", here])
+        except SystemExit as exc:
+            code = exc.code
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--output", fresh],
+                              env=env, capture_output=True)
+        assert code == proc.returncode, (argv, code, proc.stderr)
+        assert _manifest(here) == _manifest(fresh), argv
+        codes.append(code)
+    assert codes == [2, 1, 0, 0, 0, 0]

@@ -166,6 +166,8 @@ def test_run_matrix_experiment_report():
     assert rep.gaussian_mean > 0
     d = rep.to_dict()
     assert d["d"] == 8 and d["trials"] == 40
+    # an owned array, not a view pinning the whole singular-value stack
+    assert rep.sample_norms.base is None and rep.sample_norms.shape == (40,)
 
 
 def test_run_matrix_experiment_scalar_case():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from mchoeffding.montecarlo import (
     sample_paths,
     simulate_sums,
 )
-from mchoeffding.rng import normal_block, trial_seeds, uniform_block
+from mchoeffding.rng import normal_block, splitmix64, trial_seeds, uniform_block
 
 from conftest import random_chain, random_lattice_family
 
@@ -355,3 +356,12 @@ def test_tail_table_matches_threshold_loop(rng):
     np.testing.assert_array_equal(est, np.array(hits) / len(values))
     for i, h in enumerate(hits):
         assert (lo[i], hi[i]) == wilson_interval(h, len(values))
+
+
+def test_splitmix64_scalar_is_silent_and_matches_array():
+    for x in (0, 12345, 2**63, 2**64 - 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = splitmix64(x)
+        expected = splitmix64(np.array([x], dtype=np.uint64))[0]
+        assert z.dtype == np.uint64 and z == expected

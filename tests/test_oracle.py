@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +177,82 @@ def test_brute_force_guard():
     chain = two_state_chain(0.1)
     with pytest.raises(TooLarge):
         brute_force_distribution(chain, sign_family(40))
+
+
+def _itertools_paths(chain, n):
+    """Every path as a row of an (N^n, n) array, with its probability
+    multiplied left to right."""
+    paths = np.array(list(itertools.product(range(chain.n_states), repeat=n)), dtype=np.int64)
+    probs = chain.stationary[paths[:, 0]].copy()
+    for i in range(1, n):
+        probs *= chain.transition[paths[:, i - 1], paths[:, i]]
+    return paths, probs
+
+
+def test_brute_force_matches_itertools_reference(rng):
+    for N in range(1, 6):
+        for n in range(1, 9):
+            A = rng.random((N, N)) * (rng.random((N, N)) < 0.8) + 0.01
+            chain = validate_chain(A / A.sum(axis=1, keepdims=True))
+            paths, probs = _itertools_paths(chain, n)
+            # integer values, so S_n itself is the lattice index up to an affine map
+            V = rng.integers(-2, 3, size=(n, N))
+            V[0, 0] = V[0, -1] + 1
+            S = V[np.arange(n), paths].sum(axis=1)
+            agg = np.bincount(S - S.min(), weights=probs)
+            keep = agg > 0
+            dist = brute_force_distribution(chain, make_family(V.astype(float)))
+            if N == 1:
+                assert dist.step == 0.0 and np.array_equal(dist.probabilities, [1.0])
+            else:
+                assert np.array_equal(dist.probabilities, agg[keep])
+                assert np.array_equal(dist.support, np.flatnonzero(keep) + S.min())
+            funcs = make_family(rng.normal(size=(n, N)))
+            for _ in range(3):
+                w = sorted(int(i) for i in rng.integers(1, n + 1, size=int(rng.integers(1, 7))))
+                paths, probs = _itertools_paths(chain, max(w))
+                vals = np.ones(len(paths))
+                for i in w:
+                    vals *= funcs.values[i - 1][paths[:, i - 1]]
+                expected = float(np.sum(probs * vals))
+                assert brute_force_monomial(chain, funcs, w) == expected, (N, n, w)
+
+
+def test_brute_force_guard_allocates_nothing(rng):
+    chain = random_chain(rng, 10)
+    funcs = make_family(rng.integers(-2, 3, size=(8, 10)).astype(float))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            brute_force_distribution(chain, funcs)
+        with pytest.raises(TooLarge):
+            brute_force_monomial(chain, funcs, [1, 8])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6          # 10^8 paths would need 800 MB for the probabilities alone
+
+
+def test_moments_match_brute_force_to_order_32(rng):
+    """E[S_n^m] for m <= 32 within 1e-12 of brute force, relative to
+    (sum_i a_i)^m, the a-priori bound on |S_n|^m; odd moments cancel to
+    near zero, so a relative error against the moment itself means nothing."""
+    for _ in range(20):
+        N = int(rng.integers(1, 5))
+        chain = random_chain(rng, N)
+        n = int(rng.integers(1, 8))
+        funcs = (random_lattice_family(rng, chain, n) if N > 1
+                 else make_family(np.zeros((n, 1)), chain=chain))
+        bf = brute_force_distribution(chain, funcs)
+        table = exact_moments(chain, funcs, 32)
+        scale = max(1.0, float(funcs.bounds.sum()))
+        for m in range(33):
+            assert abs(table[m] - bf.moment(m)) <= 1e-12 * scale**m, (m, table[m], bf.moment(m))
+
+
+def test_moment_overflow_raises():
+    with pytest.raises(Overflow):
+        exact_moments(two_state_chain(0.5), make_family([[1e200, -1e200], [1e200, -1e200]]), 4)
 
 
 def test_degenerate_constant_family():
