@@ -13,7 +13,7 @@ import csv
 import sys
 
 from mchoeffding import sign_family, two_state_chain
-from mchoeffding.bounds import SCALAR_TAIL_BOUNDS
+from mchoeffding.bounds import evaluate_tail_bounds
 from mchoeffding.cli import parse_grid
 from mchoeffding.oracle import lattice_distribution
 
@@ -27,15 +27,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     funcs = sign_family(args.n)
-    names = sorted(SCALAR_TAIL_BOUNDS)
+    u_grid = parse_grid(args.u_grid)
+    names = sorted(evaluate_tail_bounds([], 0.0))
     rows = [["lambda", "u", "exact_tail"] + names]
-    for lam in parse_grid(args.lambdas):
-        chain = two_state_chain(float(lam))
-        dist = lattice_distribution(chain, funcs)
-        for u in parse_grid(args.u_grid):
-            exact = dist.tail(float(u) * funcs.a_l2)
-            rows.append([float(lam), float(u), exact]
-                        + [SCALAR_TAIL_BOUNDS[name](float(u), float(lam)) for name in names])
+    for lam in parse_grid(args.lambdas).tolist():
+        dist = lattice_distribution(two_state_chain(lam), funcs)
+        cols = evaluate_tail_bounds(u_grid, lam)
+        bound_rows = zip(*(cols[name].tolist() for name in names))
+        for u, bound_row in zip(u_grid.tolist(), bound_rows):
+            rows.append([lam, u, dist.tail(u * funcs.a_l2), *bound_row])
 
     handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     csv.writer(handle).writerows(rows)

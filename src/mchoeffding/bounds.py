@@ -1,6 +1,9 @@
 """Closed-form tail, moment, and monomial bounds, plus related-work comparators.
 
-Conventions: raw bound values are returned unclamped (they can exceed 1);
+Conventions: the closed-form tail bounds take a scalar or an array u and
+return a Python float or an array of the same shape; a bound that overflows
+(lam > 1, or the MGF bound at large u) is a silent, vacuous +inf.  Raw bound
+values are returned unclamped (they can exceed 1);
 reports attach a `vacuous` flag instead of clipping, so the mathematical
 object survives for plotting.  Symbolic universal constants default to 1 and
 are configurable per call.  The monomial bound's sum over admissible strings
@@ -17,52 +20,64 @@ from .errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, Unsorted
 RAO_DENOMINATOR = 64.0 * math.e
 
 
-def _check_u(u, lam=0.0):
-    if not (math.isfinite(u) and math.isfinite(lam)):
+def _check_u(u, lam) -> np.ndarray:
+    """u as a float array, once u and lam are checked finite and u >= 0."""
+    u = np.asarray(u, dtype=float)
+    if not (np.all(np.isfinite(u)) and math.isfinite(lam)):
         raise OutOfRange(f"u and lam must be finite, got u={u}, lam={lam}")
-    if u < 0:
-        raise NegativeU(f"u must be nonnegative, got {u}")
+    if np.any(u < 0):
+        raise NegativeU(f"u must be nonnegative, got {u.min()}")
+    return u
 
 
-def bound_iid_hoeffding(u: float) -> float:
-    """Classical independent-case tail bound 2 exp(-u^2 / 2)."""
-    _check_u(u)
-    return 2.0 * math.exp(-(u * u) / 2.0)
+def _value(x):
+    """A Python float for a scalar argument, else the array itself."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def bound_healy(u: float, lam: float) -> float:
+def bound_iid_hoeffding(u):
+    """Classical independent-case tail bound 2 exp(-u^2 / 2): the FJS bound at
+    lam = 0, bit for bit."""
+    return bound_fjs(u, 0.0)
+
+
+@np.errstate(over="ignore")
+def bound_healy(u, lam: float):
     """2 exp(-u^2 (1-lam) / 4); vacuous (>= 2) once lam >= 1."""
-    _check_u(u, lam)
-    return 2.0 * math.exp(-(u * u) * (1.0 - lam) / 4.0)
+    u = _check_u(u, lam)
+    return _value(2.0 * np.exp(-(u * u) * (1.0 - lam) / 4.0))
 
 
-def bound_rao(u: float, lam: float) -> float:
+@np.errstate(over="ignore")
+def bound_rao(u, lam: float):
     """2 exp(-u^2 (1-lam) / (64 e)), the a-weighted Markov-chain Hoeffding bound."""
-    _check_u(u, lam)
-    return 2.0 * math.exp(-(u * u) * (1.0 - lam) / RAO_DENOMINATOR)
+    u = _check_u(u, lam)
+    return _value(2.0 * np.exp(-(u * u) * (1.0 - lam) / RAO_DENOMINATOR))
 
 
-def bound_mgf(u: float, lam: float) -> float:
+@np.errstate(over="ignore")
+def bound_mgf(u, lam: float):
     """Intermediate MGF-level bound 2 exp(u^2 (1-lam) / 64) at the tuned theta."""
-    _check_u(u, lam)
-    return 2.0 * math.exp((u * u) * (1.0 - lam) / 64.0)
+    u = _check_u(u, lam)
+    return _value(2.0 * np.exp((u * u) * (1.0 - lam) / 64.0))
 
 
-def bound_fjs(u: float, lam: float) -> float:
-    """Sharper comparator: 2 exp(-u^2 (1-lam) / (2 (1+lam))); equals the iid
-    bound at lam = 0."""
-    _check_u(u, lam)
+@np.errstate(over="ignore")
+def bound_fjs(u, lam: float):
+    """Sharper comparator: 2 exp(-u^2 (1-lam) / (2 (1+lam)))."""
+    u = _check_u(u, lam)
     if lam < 0:
         raise OutOfRange("lam must be nonnegative")
-    return 2.0 * math.exp(-(u * u) * (1.0 - lam) / (2.0 * (1.0 + lam)))
+    return _value(2.0 * np.exp(-(u * u) * (1.0 - lam) / (2.0 * (1.0 + lam))))
 
 
-def bound_glss(u: float, lam: float, d: int, c: float = 1.0) -> float:
+@np.errstate(over="ignore")
+def bound_glss(u, lam: float, d: int, c: float = 1.0):
     """Matrix-valued comparator 2 d exp(-c (1-lam) u^2)."""
-    _check_u(u, lam)
+    u = _check_u(u, lam)
     if c <= 0:
         raise OutOfRange("c must be positive")
-    return 2.0 * d * math.exp(-c * (1.0 - lam) * u * u)
+    return _value(2.0 * d * np.exp(-c * (1.0 - lam) * u * u))
 
 
 def is_vacuous(value):
@@ -83,6 +98,21 @@ def _admissible_sum(x) -> float:
     return end1
 
 
+def _check_w(w, n: int) -> list:
+    """The monomial index vector w as a list, once checked non-empty, integer,
+    nondecreasing and within 1..n."""
+    w = list(w)
+    if not w:
+        raise OutOfRange("w must be non-empty")
+    if not all(isinstance(i, numbers.Integral) for i in w):
+        raise OutOfRange(f"w entries must be integers, got {w}")
+    if any(b < c for b, c in zip(w[1:], w[:-1])):
+        raise Unsorted("w must be nondecreasing")
+    if not 1 <= w[0] <= w[-1] <= n:
+        raise OutOfRange(f"w entries must lie in 1..{n}, got {w[0]}..{w[-1]}")
+    return w
+
+
 def bound_monomial(w, lam: float, a) -> float:
     """Right side of the monomial lemma:
 
@@ -91,16 +121,12 @@ def bound_monomial(w, lam: float, a) -> float:
 
     where S_{q-1} holds the bit strings of length q-1 with endpoints 1 and no
     two consecutive zeros.  `w` is 1-based, nondecreasing, with entries in
-    1..len(a).
+    1..len(a), and has at least two entries.
     """
-    w = list(w)
     a = np.asarray(a, dtype=float)
+    w = _check_w(w, a.size)
     if len(w) < 2:
         raise OutOfRange("w must have length at least 2")
-    if any(b < c for b, c in zip(w[1:], w[:-1])):
-        raise Unsorted("w must be nondecreasing")
-    if not (all(isinstance(i, numbers.Integral) for i in w) and 1 <= w[0] <= w[-1] <= a.size):
-        raise OutOfRange(f"w entries must be integers in 1..{a.size}, got {w[0]}..{w[-1]}")
     if not lam >= 0:
         raise OutOfRange("lam must be nonnegative")
     prefactor = float(np.prod([a[i - 1] for i in w]))
@@ -129,19 +155,23 @@ def bound_matrix_schatten(sigma: float, sigma_star: float, d: int, lam: float,
     return min(gauss, b_norm)
 
 
-SCALAR_TAIL_BOUNDS = {
-    "iid": lambda u, lam: bound_iid_hoeffding(u),
-    "healy": bound_healy,
-    "rao": bound_rao,
-    "fjs": bound_fjs,
-}
-
-
 def evaluate_tail_bounds(u_grid, lam: float) -> dict:
-    """Evaluate every scalar tail bound on a u-grid; used by reports and the CLI."""
-    u_grid = np.asarray(u_grid, dtype=float)
-    out = {}
-    for name, fn in SCALAR_TAIL_BOUNDS.items():
-        vals = np.array([fn(float(u), lam) for u in u_grid])
-        out[name] = vals
-    return out
+    """The iid, Healy, Rao and FJS tail bounds on a u-grid, one array call
+    each, in that column order; used by reports and the CLI."""
+    return {"iid": bound_iid_hoeffding(u_grid), "healy": bound_healy(u_grid, lam),
+            "rao": bound_rao(u_grid, lam), "fjs": bound_fjs(u_grid, lam)}
+
+
+def tail_rows(leading: dict, bounds: dict, names) -> list:
+    """Header plus one row per grid point: the `leading` columns, the `bounds`
+    columns in the order of `names`, and the ';'-joined names of the bounds
+    that are vacuous there."""
+    names = list(names)
+    cols = [np.asarray(c, dtype=float).tolist()
+            for c in [*leading.values(), *(bounds[n] for n in names)]]
+    # bit k of code[i] says whether bound names[k] is vacuous at row i
+    code = sum((is_vacuous(bounds[n]).astype(np.int64) << k for k, n in enumerate(names)),
+               np.zeros(len(cols[0]), dtype=np.int64))
+    flags = [";".join(n for k, n in enumerate(names) if c >> k & 1) for c in range(1 << len(names))]
+    cols.append([flags[c] for c in code.tolist()])
+    return [list(leading) + names + ["vacuous_flags"], *zip(*cols)]

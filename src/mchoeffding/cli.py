@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import evaluate_tail_bounds, is_vacuous
+from .bounds import bound_moment, evaluate_tail_bounds, tail_rows
 from .chain import averaging_operator, load_chain, read_json, two_state_chain
 from .config import DEFAULT_TOL
 from .errors import NumericError, TooLarge, ValidationError
@@ -36,6 +36,7 @@ from .oracle import (
     exact_tail,
     lattice_distribution,
 )
+from .rng import uniform_block
 from .spectral import NormContext, contraction, l2_opnorms, opnorm, power_deviation
 
 
@@ -98,17 +99,10 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def render_csv(manifest: RunManifest, rows) -> str:
     lines = ["# manifest: " + json.dumps(manifest.stable_dict(), sort_keys=True),
              f"# duration_s: {manifest.duration_s}"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += (",".join(map(str, row)) for row in rows)  # str(float) is its repr
     return "\n".join(lines) + "\n"
 
 
@@ -119,6 +113,8 @@ def render_json(manifest: RunManifest, data) -> str:
 
 
 def _cmd_spectral(args, manifest):
+    if args.k < 0:
+        raise ValidationError(f"--k must be nonnegative, got {args.k}")
     chain, _ = load_chain(args.chain)
     lam = contraction(chain)
     data = {"lambda": lam, "exceeds_one": bool(lam >= 1.0), "n_states": chain.n_states}
@@ -135,13 +131,7 @@ def _cmd_bounds(args, manifest):
         raise ValidationError(f"--lambda must be finite, got {args.lam}")
     u_grid = parse_grid(args.u_grid)
     cols = evaluate_tail_bounds(u_grid, args.lam)
-    names = ["iid", "healy", "rao", "fjs"]
-    vacuous = {n: is_vacuous(cols[n]) for n in names}
-    rows = [["u"] + names + ["vacuous_flags"]]
-    for i, u in enumerate(u_grid):
-        flags = ";".join(n for n in names if vacuous[n][i])
-        rows.append([float(u)] + [float(cols[n][i]) for n in names] + [flags])
-    _emit(render_csv(manifest, rows), args.output)
+    _emit(render_csv(manifest, tail_rows({"u": u_grid}, cols, cols)), args.output)
     return 0
 
 
@@ -169,12 +159,10 @@ def _cmd_simulate(args, manifest):
         raise ValidationError("chain file must carry a 'functions' block for `simulate`")
     cfg = SimConfig(trials=args.trials, master_seed=args.seed)
     report = estimate_tail(chain, funcs, parse_grid(args.u_grid), cfg)
-    if args.format == "json":
-        rows = report.rows()
-        data = {"columns": rows[0], "rows": rows[1:], "lambda": report.lam}
-        _emit(render_json(manifest, data), args.output)
-    else:
-        _emit(render_csv(manifest, report.rows()), args.output)
+    rows = report.rows()
+    data = {"columns": rows[0], "rows": rows[1:], "lambda": report.lam}
+    text = render_json(manifest, data) if args.format == "json" else render_csv(manifest, rows)
+    _emit(text, args.output)
     return 0
 
 
@@ -187,8 +175,6 @@ def _cmd_matrix(args, manifest):
         B = CoefficientMatrix(np.ones((args.d, args.d)))
     else:
         # symmetric uniform(0,1] entries from the seeded stream
-        from .rng import uniform_block
-
         u = uniform_block([args.seed ^ 0xB0B0], args.d * args.d)[0].reshape(args.d, args.d)
         B = CoefficientMatrix((u + u.T) / 2.0 + 1e-3)
     order = diagonal_first_order(B.d) if args.order == "diagonal-first" else row_major_order(B.d)
@@ -234,8 +220,6 @@ def _cmd_verify(args, manifest):
         if lam < 1.0:
             check(f"decay_k{k}", norms[k - 1] <= lam**k + tol.inequality_slack)
     if funcs is not None and chain.n_states ** funcs.n_steps <= 10**5:
-        from .bounds import bound_moment
-
         bf = brute_force_distribution(chain, funcs)
         check("oracle_tail", abs(exact_tail(chain, funcs, funcs.a_l2)
                                  - bf.tail(funcs.a_l2)) <= tol.oracle_agreement)

@@ -18,6 +18,7 @@ from .chain import MarkovChain, make_family
 from .errors import DimensionMismatch, InvalidOrder, OutOfRange
 from .montecarlo import SimConfig, _mean_interval, sample_path
 from .rng import normal_block, trial_seeds
+from .spectral import contraction, spectral_norms
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,6 @@ def _fill(B: CoefficientMatrix, order: FillOrder, values: np.ndarray) -> np.ndar
     return X
 
 
-def _spectral_norms(X: np.ndarray) -> np.ndarray:
-    """Largest singular value of each square matrix in a (..., d, d) stack,
-    copied out so the full singular-value stack can be freed."""
-    if X.shape[-1] != X.shape[-2]:
-        raise DimensionMismatch("matrices must be square")
-    return np.linalg.svd(X, compute_uv=False)[..., 0].copy()
-
-
 def schatten_norm(M, p) -> float:
     """Schatten p-norm from singular values; p = inf gives the spectral norm."""
     M = np.asarray(M, dtype=float)
@@ -169,7 +162,7 @@ def gaussian_counterpart_mean(B: CoefficientMatrix, trials: int, seed: int) -> f
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
     g = normal_block(trial_seeds(seed, trials), (B.d * B.d + B.d) // 2)
-    return float(_spectral_norms(_fill(B, row_major_order(B.d), g)).mean())
+    return float(spectral_norms(_fill(B, row_major_order(B.d), g)).mean())
 
 
 def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovChain,
@@ -179,12 +172,10 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
     """Sample `cfg.trials` Markov-filled matrices and report mean spectral norm,
     the Corollary-style bound over a C-grid, the fitted minimal C, and the
     Gaussian-counterpart mean."""
-    from .spectral import contraction
-
     if lam is None:
         lam = contraction(chain)
     seeds = trial_seeds(cfg.master_seed, cfg.trials)
-    norms = _spectral_norms(np.stack([
+    norms = spectral_norms(np.stack([
         build_markov_matrix(B, order, chain, f_values, int(s)) for s in seeds]))
     mean, ci_low, ci_high = _mean_interval(norms)
     sigma, sigma_star = sigma_params(B)

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import evaluate_tail_bounds, is_vacuous
+from .bounds import evaluate_tail_bounds, tail_rows
 from .chain import FunctionFamily, MarkovChain
-from .errors import EmptyInput, OutOfRange
+from .errors import DimensionMismatch, EmptyInput, OutOfRange
 from .rng import normal_block, trial_seeds, uniform_block
+from .spectral import contraction, spectral_norms
 
 _Z95 = 1.959963984540054
 
@@ -57,22 +58,15 @@ class TailReport:
     ci_low: np.ndarray
     ci_high: np.ndarray
     bounds: dict
-    vacuous: dict
     trials: int
     master_seed: int
     lam: float
     extra: dict = field(default_factory=dict)
 
     def rows(self):
-        names = sorted(self.bounds)
-        header = ["u", "estimate", "ci_low", "ci_high"] + names + ["vacuous_flags"]
-        out = [header]
-        for i, u in enumerate(self.u_grid):
-            flags = ";".join(n for n in names if self.vacuous[n][i])
-            out.append([float(u), float(self.estimates[i]),
-                        float(self.ci_low[i]), float(self.ci_high[i])]
-                       + [float(self.bounds[n][i]) for n in names] + [flags])
-        return out
+        leading = {"u": self.u_grid, "estimate": self.estimates,
+                   "ci_low": self.ci_low, "ci_high": self.ci_high}
+        return tail_rows(leading, self.bounds, sorted(self.bounds))
 
 
 # One block of uniforms holds at most _BLOCK_DRAWS draws (1 MB of float64) and
@@ -175,23 +169,17 @@ def _tail_table(values: np.ndarray, thresholds: np.ndarray):
 def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimConfig,
                   lam: float | None = None) -> TailReport:
     """Empirical Pr[|S_n| >= u * ||a||_2] over the u-grid, with bound columns."""
-    from .spectral import contraction
-
     u_grid = np.asarray(u_grid, dtype=float)
     if lam is None:
         lam = contraction(chain)
     S = simulate_sums(chain, funcs, cfg)
     est, lo, hi = _tail_table(np.abs(S), u_grid * funcs.a_l2)
-    bound_cols = evaluate_tail_bounds(u_grid, lam)
-    vac = {name: is_vacuous(vals) for name, vals in bound_cols.items()}
     return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
-                      bounds=bound_cols, vacuous=vac,
+                      bounds=evaluate_tail_bounds(u_grid, lam),
                       trials=cfg.trials, master_seed=cfg.master_seed, lam=float(lam))
 
 
 def _norms(sums: np.ndarray, norm_kind: str) -> np.ndarray:
-    from .matrixlab import _spectral_norms
-
     if norm_kind == "euclidean":
         return np.sqrt(np.sum(sums**2, axis=tuple(range(1, sums.ndim))))
     if norm_kind == "sup":
@@ -199,7 +187,7 @@ def _norms(sums: np.ndarray, norm_kind: str) -> np.ndarray:
     if norm_kind == "schatten_inf":
         if sums.ndim != 3:
             raise OutOfRange("schatten_inf needs matrix-valued inputs")
-        return _spectral_norms(sums)
+        return spectral_norms(sums)
     raise OutOfRange(f"unknown norm kind {norm_kind!r}")
 
 
@@ -232,11 +220,12 @@ def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vector
     Each threshold t is paired with u = t / E[||sum g_i X_i||] (Gaussian
     baseline, estimated with a derived seed) and the report carries a fitted
     curve L * exp(-C u^2 (1 - lam))."""
-    from .spectral import contraction
-
     X = np.asarray(x_vectors, dtype=float)
     if X.size == 0:
         raise EmptyInput("need at least one X vector")
+    if len(X) != funcs.n_steps:
+        raise DimensionMismatch(f"need one X vector per step: got {len(X)} for "
+                                f"{funcs.n_steps} steps")
     thresholds = np.asarray(threshold_grid, dtype=float)
     states = sample_paths(chain, funcs.n_steps, cfg)
     # coeff[t, i] = f_i(Y_i) on trial t
@@ -256,7 +245,7 @@ def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vector
     extra = {"gaussian_norm_mean": g_mean, "fitted_L": fit_L, "fitted_C": fit_C,
              "thresholds": thresholds.tolist()}
     return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
-                      bounds={}, vacuous={}, trials=cfg.trials,
+                      bounds={}, trials=cfg.trials,
                       master_seed=cfg.master_seed, lam=float(lam), extra=extra)
 
 

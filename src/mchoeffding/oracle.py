@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _admissible_sum
+from .bounds import _admissible_sum, _check_w
 from .chain import FunctionFamily, MarkovChain
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
@@ -25,7 +25,6 @@ from .errors import (
     NotMeanZero,
     Overflow,
     TooLarge,
-    Unsorted,
 )
 from .spectral import NormContext, opnorm
 
@@ -87,11 +86,7 @@ def exact_monomial_expectation(chain: MarkovChain, funcs: FunctionFamily, w) -> 
     through A^{gap} between consecutive indices, reweight, and sum.
     """
     _shape_check(chain, funcs)
-    w = list(w)
-    if any(b < c for b, c in zip(w[1:], w[:-1])):
-        raise Unsorted("w must be nondecreasing")
-    if not all(1 <= i <= funcs.n_steps for i in w):
-        raise Unsorted("w entries must index the function family")
+    w = _check_w(w, funcs.n_steps)
     A = chain.transition
     p = chain.stationary * funcs.values[w[0] - 1]
     for prev, cur in zip(w[:-1], w[1:]):
@@ -109,6 +104,10 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
 
     one Pascal-weighted contraction over (m, j) per step.  Raises Overflow
     when a moment leaves the representable range.
+
+    Precision: the binomial terms cancel, so E[S_n^m] is accurate to about
+    4e-15 relative to (sum_i a_i)^m only: on the 1-state chain with f = 3, -3,
+    3, -3, 3, -4 (S_n = -1) E[S_n^24] comes out as 2048, not 1.
     """
     _shape_check(chain, funcs)
     if q < 0:
@@ -260,8 +259,8 @@ def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
 
 def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
     """E[prod_i f_{w_i}(Y_{w_i})] by trajectory enumeration up to max(w) steps."""
-    w = list(w)
-    n = max(w)
+    w = _check_w(w, funcs.n_steps)
+    n = w[-1]
     probs = _path_probabilities(chain, n)
     vals = np.ones(1)
     for i in w:

@@ -47,12 +47,17 @@ def opnorm(T, ctx: NormContext, p) -> float:
     raise OutOfRange("p must be one of 1, 2, inf")
 
 
+def spectral_norms(X: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., m, n) stack, from one
+    batched SVD, copied out so the full singular-value stack can be freed."""
+    return np.linalg.svd(X, compute_uv=False)[..., 0].copy()
+
+
 def l2_opnorms(T, ctx: NormContext) -> np.ndarray:
     """L2(pi) operator norm of each matrix in a (..., N, N) stack, from one
     batched SVD of D^{1/2} T D^{-1/2}."""
     d = np.sqrt(ctx.pi)
-    conj = (d[:, None] * T) / d[None, :]
-    return np.linalg.svd(conj, compute_uv=False)[..., 0].copy()
+    return spectral_norms((d[:, None] * T) / d[None, :])
 
 
 def contraction(chain: MarkovChain) -> float:

@@ -15,6 +15,7 @@ from mchoeffding import (
     NormContext,
     SimConfig,
     bound_fjs,
+    bound_mgf,
     bound_moment,
     bound_monomial,
     bound_rao,
@@ -139,7 +140,7 @@ def test_criterion_5_mgf_step():
         for u in range(1, 9):
             theta = (1.0 - lam) * u / (32.0 * a_l2)
             mgf = exact_mgf(chain, funcs, theta)
-            cap = 2.0 * math.exp(u * u * (1.0 - lam) / 64.0)
+            cap = bound_mgf(u, lam)
             worst_ratio = max(worst_ratio, mgf / cap)
             if mgf > cap:
                 violations += 1

@@ -44,6 +44,7 @@ def test_rao_values():
         assert bound_rao(u, lam) == pytest.approx(1.38440125511069270773, rel=1e-13)
         assert is_vacuous(bound_rao(u, lam))
     assert bound_rao(30.0, 0.5) == pytest.approx(0.150543207920995340606, rel=1e-13)
+    assert type(bound_rao(1.0, 0.5)) is float
 
 
 def test_is_vacuous_elementwise_and_nan_safe():
@@ -56,6 +57,8 @@ def test_is_vacuous_elementwise_and_nan_safe():
 def test_mgf_level_bound():
     assert bound_mgf(0.0, 0.5) == 2.0
     assert bound_mgf(8.0, 0.0) == pytest.approx(2.0 * math.exp(1.0), rel=1e-14)
+    # overflow is a vacuous +inf, not an error or a warning
+    assert bound_mgf(1e3, 0.0) == math.inf and bound_healy(1e3, 5.0) == math.inf
 
 
 def test_fjs_values():
@@ -82,6 +85,11 @@ def test_negative_u_rejected():
             fn(-1.0, 0.5)
     with pytest.raises(NegativeU):
         bound_glss(-1.0, 0.5, 2)
+    u = np.array([0.0, 1.0, -1e-300, 2.0])
+    for call in (lambda: bound_iid_hoeffding(u), lambda: bound_rao(u, 0.5),
+                 lambda: bound_glss(u, 0.5, 2), lambda: evaluate_tail_bounds(u, 0.5)):
+        with pytest.raises(NegativeU):
+            call()
 
 
 @pytest.mark.parametrize("call", [
@@ -93,6 +101,8 @@ def test_negative_u_rejected():
     lambda: bound_glss(math.nan, 0.5, 2),
     lambda: bound_glss(1.0, math.inf, 2),
     lambda: evaluate_tail_bounds([0.0, 1.0], math.nan),
+    lambda: bound_healy(np.array([0.0, math.nan, 1.0]), 0.5),
+    lambda: evaluate_tail_bounds([0.0, 1.0, math.inf], 0.5),
 ])
 def test_non_finite_u_or_lambda_rejected(call):
     with pytest.raises(OutOfRange):
@@ -194,6 +204,19 @@ def test_matrix_schatten_bound():
 
 def test_evaluate_tail_bounds_columns():
     cols = evaluate_tail_bounds([0.0, 2.0], 0.5)
-    assert set(cols) == {"iid", "healy", "rao", "fjs"}
+    assert list(cols) == ["iid", "healy", "rao", "fjs"]
     assert cols["iid"][0] == 2.0
     assert cols["iid"][1] == pytest.approx(bound_iid_hoeffding(2.0))
+    # every bound is array-valued: on a grid it matches its scalar calls
+    u = np.concatenate([np.linspace(0.0, 60.0, 1201), [1e-3, 7.77, 1e3]])
+    for lam in (0.0, 0.37, 0.9, 1.0, 1.5):
+        bounds = {"iid": bound_iid_hoeffding, "healy": lambda x: bound_healy(x, lam),
+                  "rao": lambda x: bound_rao(x, lam), "mgf": lambda x: bound_mgf(x, lam),
+                  "fjs": lambda x: bound_fjs(x, lam), "glss": lambda x: bound_glss(x, lam, 3, c=0.7)}
+        cols = evaluate_tail_bounds(u, lam)
+        for name, fn in bounds.items():
+            vals = fn(u)
+            assert vals.shape == u.shape, name
+            np.testing.assert_array_max_ulp(vals, [fn(x) for x in u.tolist()], maxulp=1)
+            if name in cols:
+                np.testing.assert_array_equal(cols[name], vals)

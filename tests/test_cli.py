@@ -7,7 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from mchoeffding import bound_rao, exact_moments, sign_family, two_state_chain
+from mchoeffding import (
+    bound_fjs,
+    bound_healy,
+    bound_iid_hoeffding,
+    bound_rao,
+    exact_moments,
+    sign_family,
+    two_state_chain,
+)
 from mchoeffding.chain import chain_to_dict
 import mchoeffding
 from mchoeffding.cli import build_parser, main, parse_grid
@@ -50,9 +58,17 @@ def test_bounds_subcommand(tmp_path):
                  "--output", str(out)]) == 0
     lines = data_section(out)
     assert lines[0] == "u,iid,healy,rao,fjs,vacuous_flags"
+    assert len(lines) == 18
     row = dict(zip(lines[0].split(","), lines[5].split(",")))
     assert float(row["u"]) == 2.0
-    assert float(row["rao"]) == pytest.approx(bound_rao(2.0, 0.5), rel=1e-15)
+    scalar = {"iid": bound_iid_hoeffding, "healy": lambda u: bound_healy(u, 0.5),
+              "rao": lambda u: bound_rao(u, 0.5), "fjs": lambda u: bound_fjs(u, 0.5)}
+    for line in lines[1:]:
+        row = dict(zip(lines[0].split(","), line.split(",")))
+        u = float(row["u"])
+        for name, fn in scalar.items():
+            np.testing.assert_array_max_ulp(float(row[name]), fn(u), maxulp=1)
+        assert row["vacuous_flags"] == ";".join(n for n in scalar if scalar[n](u) >= 1.0)
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
@@ -158,6 +174,9 @@ def test_validation_errors_exit_one(tmp_path, chain_file, capsys):
     nofuncs = tmp_path / "nf.json"
     nofuncs.write_text(json.dumps({"transition": [[0.5, 0.5], [0.5, 0.5]]}))
     assert main(["simulate", "--chain", str(nofuncs), "--u-grid", "0:1:1"]) == 1
+    capsys.readouterr()
+    assert main(["spectral", "--chain", chain_file, "--k", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("option,content", [

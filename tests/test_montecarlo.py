@@ -16,7 +16,7 @@ from mchoeffding import (
     wilson_interval,
 )
 from mchoeffding.chain import FunctionFamily
-from mchoeffding.errors import EmptyInput, OutOfRange
+from mchoeffding.errors import DimensionMismatch, EmptyInput, OutOfRange
 from mchoeffding.montecarlo import (
     _block_steps,
     _cdf_table,
@@ -157,6 +157,14 @@ def test_vector_sum_tail_zero_functions():
     report = estimate_vector_sum_tail(chain, zero, np.eye(3), "euclidean",
                                       [0.1, 1.0], SimConfig(trials=200, master_seed=4))
     assert np.all(report.estimates == 0.0)
+
+
+def test_vector_sum_tail_needs_one_vector_per_step():
+    cfg = SimConfig(trials=10, master_seed=4)
+    for X in (np.eye(2), np.eye(4)):
+        with pytest.raises(DimensionMismatch):
+            estimate_vector_sum_tail(two_state_chain(0.5), sign_family(3), X, "euclidean",
+                                     [0.5], cfg)
 
 
 def test_vector_sum_tail_orthonormal_cross_check(rng):

@@ -25,6 +25,7 @@ from mchoeffding.errors import (
     DimensionMismatch,
     NotLattice,
     NotMeanZero,
+    OutOfRange,
     Overflow,
     TooLarge,
     Unsorted,
@@ -70,6 +71,24 @@ def test_monomial_rejects_unsorted():
     chain = two_state_chain(0.2)
     with pytest.raises(Unsorted):
         exact_monomial_expectation(chain, sign_family(4), [3, 1])
+
+
+@pytest.mark.parametrize("w,error", [
+    ([], OutOfRange),
+    ([0, 1], OutOfRange),       # index 0 would read the last function
+    ([5], OutOfRange),
+    ([2, 4], OutOfRange),
+    ([1.0, 2.0], OutOfRange),
+    ([1.5, 2], OutOfRange),
+    ([3, 1], Unsorted),
+])
+def test_monomial_index_vector_validated_once(w, error):
+    chain = two_state_chain(0.2)
+    funcs = sign_family(3)
+    for call in (exact_monomial_expectation, brute_force_monomial,
+                 lambda c, f, w: bound_monomial(w, 0.2, f.bounds)):
+        with pytest.raises(error):
+            call(chain, funcs, w)
 
 
 def test_monomial_lemma_dominance(rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mchoeffding import NormContext, contraction, opnorm, power_deviation, two_state_chain, validate_chain
 from mchoeffding.chain import averaging_operator
 from mchoeffding.errors import DimensionMismatch, OutOfRange
+from mchoeffding.spectral import spectral_norms
 
 from conftest import random_chain
 
@@ -54,6 +55,14 @@ def test_opnorm_weighted_matches_numpy_conjugation(rng):
         d = np.sqrt(pi)
         expected = np.linalg.svd((d[:, None] * T) / d[None, :], compute_uv=False).max()
         assert opnorm(T, NormContext(pi), 2) == pytest.approx(expected, abs=1e-10)
+
+
+def test_spectral_norms_of_a_stack(rng):
+    for shape in ((2, 3, 5, 5), (4, 5, 3)):
+        X = rng.normal(size=shape)
+        expected = [np.linalg.norm(M, 2) for M in X.reshape(-1, *shape[-2:])]
+        np.testing.assert_allclose(spectral_norms(X).ravel(), expected, rtol=1e-13)
+        assert spectral_norms(X).base is None
 
 
 def test_opnorm_errors():
