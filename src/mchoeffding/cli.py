@@ -74,6 +74,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid {spec!r} must have finite start, stop and step")
     if step <= 0:
         raise ValidationError("grid step must be positive")
+    if start > stop:
+        raise ValidationError(f"grid {spec!r} has start > stop")
     if (stop + step / 2.0 - start) / step > MAX_GRID_POINTS:
         raise TooLarge(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return np.arange(start, stop + step / 2.0, step)

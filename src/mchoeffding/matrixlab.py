@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import bound_matrix_schatten
 from .chain import MarkovChain, make_family
 from .errors import DimensionMismatch, InvalidOrder, OutOfRange
-from .montecarlo import SimConfig, _mean_interval, sample_path
+from .montecarlo import SimConfig, _mean_interval, sample_path, sample_paths
 from .rng import normal_block, trial_seeds
 from .spectral import contraction, spectral_norms
 
@@ -91,14 +91,20 @@ def build_markov_matrix(B: CoefficientMatrix, order: FillOrder, chain: MarkovCha
     """Sample one symmetric X with X_ij = f(Y_{omega(i,j)}) * b_ij on the upper
     triangle, mirrored below.  `f_values` is one mean-zero function table with
     |f| <= 1."""
+    f = _checked_f(B, order, chain, f_values)
+    path = sample_path(chain, (B.d * B.d + B.d) // 2, seed)
+    return _fill(B, order, f[path][None, :])[0]
+
+
+def _checked_f(B: CoefficientMatrix, order: FillOrder, chain: MarkovChain,
+               f_values) -> np.ndarray:
+    """The validated table of f over the chain's states, for filling B in `order`."""
     if order.d != B.d:
         raise DimensionMismatch("fill order dimension must match B")
     funcs = make_family([list(f_values)], chain=chain)
     if funcs.bounds[0] > 1.0 + 1e-12:
         raise OutOfRange("|f| must be bounded by 1")
-    m = (B.d * B.d + B.d) // 2
-    path = sample_path(chain, m, seed)
-    return _fill(B, order, funcs.values[0][path][None, :])[0]
+    return funcs.values[0]
 
 
 def _fill(B: CoefficientMatrix, order: FillOrder, values: np.ndarray) -> np.ndarray:
@@ -127,7 +133,7 @@ def schatten_norm(M, p) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixExperimentReport:
     d: int
     lam: float
@@ -139,10 +145,18 @@ class MatrixExperimentReport:
     sigma: float
     sigma_star: float
     b_norm: float
-    bound_by_C: dict          # C -> min{C/sqrt(1-lam)(sigma+sigma* sqrt(log d)), ||B||}
+    C_grid: tuple
     fitted_C: float           # minimal C making the first branch cover the mean
     gaussian_mean: float
     sample_norms: np.ndarray
+
+    @property
+    def bound_by_C(self) -> dict:
+        """C -> min{C/sqrt(1-lam)(sigma+sigma* sqrt(log d)), ||B||}; empty unless lam < 1."""
+        if not self.lam < 1.0:
+            return {}
+        return {float(C): bound_matrix_schatten(self.sigma, self.sigma_star, self.d, self.lam,
+                                                self.b_norm, C) for C in self.C_grid}
 
     def to_dict(self):
         return {
@@ -171,19 +185,19 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
                           gaussian_trials: int = 200) -> MatrixExperimentReport:
     """Sample `cfg.trials` Markov-filled matrices and report mean spectral norm,
     the Corollary-style bound over a C-grid, the fitted minimal C, and the
-    Gaussian-counterpart mean."""
+    Gaussian-counterpart mean.
+
+    All trials are walked at once by `sample_paths`, whose row t uses the t-th
+    trial seed, and filled as one stack, so matrix t equals
+    `build_markov_matrix` with that seed."""
+    f = _checked_f(B, order, chain, f_values)
     if lam is None:
         lam = contraction(chain)
-    seeds = trial_seeds(cfg.master_seed, cfg.trials)
-    norms = spectral_norms(np.stack([
-        build_markov_matrix(B, order, chain, f_values, int(s)) for s in seeds]))
+    paths = sample_paths(chain, (B.d * B.d + B.d) // 2, cfg)
+    norms = spectral_norms(_fill(B, order, f[paths]))
     mean, ci_low, ci_high = _mean_interval(norms)
     sigma, sigma_star = sigma_params(B)
-    b_norm = schatten_norm(B.entries, math.inf)
-    bound_by_C = {}
     if lam < 1.0:
-        for C in C_grid:
-            bound_by_C[float(C)] = bound_matrix_schatten(sigma, sigma_star, B.d, lam, b_norm, C)
         fitted_C = mean * math.sqrt(1.0 - lam) / (sigma + sigma_star * math.sqrt(math.log(B.d)))
     else:
         fitted_C = float("nan")
@@ -192,6 +206,6 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
     return MatrixExperimentReport(
         d=B.d, lam=float(lam), trials=cfg.trials, master_seed=cfg.master_seed,
         mean_norm=mean, ci_low=ci_low, ci_high=ci_high,
-        sigma=sigma, sigma_star=sigma_star, b_norm=b_norm,
-        bound_by_C=bound_by_C, fitted_C=fitted_C, gaussian_mean=g_mean,
+        sigma=sigma, sigma_star=sigma_star, b_norm=schatten_norm(B.entries, math.inf),
+        C_grid=tuple(C_grid), fitted_C=fitted_C, gaussian_mean=g_mean,
         sample_norms=norms)

@@ -7,9 +7,9 @@ fixed configuration regardless of batching.
 
 The chain walk is streamed: `_steps` draws the uniforms of a block of steps
 at a time and yields the state vector of all trials step by step, so
-`simulate_sums` holds O(trials * block) memory instead of the (trials, n)
-uniform and state arrays.  Its states are bit-identical to the inverse-CDF
-walk over the full (trials, n) block.
+`simulate_sums` and `estimate_vector_sum_tail` hold O(trials * (block + dim X))
+memory instead of the (trials, n) uniform and state arrays.  Its states are
+bit-identical to the inverse-CDF walk over the full (trials, n) block.
 """
 
 import functools
@@ -227,10 +227,10 @@ def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vector
         raise DimensionMismatch(f"need one X vector per step: got {len(X)} for "
                                 f"{funcs.n_steps} steps")
     thresholds = np.asarray(threshold_grid, dtype=float)
-    states = sample_paths(chain, funcs.n_steps, cfg)
-    # coeff[t, i] = f_i(Y_i) on trial t
-    coeff = np.stack([funcs.values[i][states[:, i]] for i in range(funcs.n_steps)], axis=1)
-    sums = np.tensordot(coeff, X, axes=(1, 0))
+    seeds = trial_seeds(cfg.master_seed, cfg.trials)
+    sums = np.zeros((cfg.trials,) + X.shape[1:])
+    for f, x, states in zip(funcs.values, X, _steps(chain, seeds, funcs.n_steps)):
+        sums += np.multiply.outer(f[states], x)
     norms = _norms(sums, norm_kind)
 
     g_cfg = SimConfig(trials=gaussian_trials or cfg.trials,

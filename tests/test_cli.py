@@ -45,7 +45,8 @@ def test_parse_grid_inclusive():
         parse_grid("0:8:-1")
 
 
-@pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.5", "0:inf:1", "-inf:0:1", "0:1e18:1"])
+@pytest.mark.parametrize("spec", ["0:1:nan", "nan:1:0.5", "0:inf:1", "-inf:0:1", "0:1e18:1",
+                                  "5:1:1"])
 def test_parse_grid_rejects_non_finite_and_huge(spec):
     with pytest.raises(ValidationError):
         parse_grid(spec)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mchoeffding.errors import DimensionMismatch, InvalidOrder, OutOfRange, Vali
 from mchoeffding.matrixlab import FillOrder, diagonal_first_order, row_major_order, upper_indices
 from mchoeffding.montecarlo import sample_path
 from mchoeffding.rng import normal_block, trial_seeds
+from mchoeffding.spectral import spectral_norms
 
 
 def test_sigma_params_all_ones():
@@ -238,3 +240,73 @@ def test_run_matrix_experiment_matches_numpy_rebuild(rng):
     g = normal_block(trial_seeds(g_seed, g_trials), m)
     assert rep.gaussian_mean == pytest.approx(rebuild(g).mean(), rel=1e-12)
     assert rep.b_norm == pytest.approx(np.abs(np.linalg.eigvalsh(B.entries)).max(), rel=1e-12)
+
+
+# --- the batched walk against per-trial rebuilds ---------------------------------
+
+_NON_REVERSIBLE = ([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]], [1.0, -0.5, -0.5])
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 32])
+def test_batched_walk_matches_per_trial_build(rng, d):
+    B = _random_coefficients(rng, d)
+    cases = [(two_state_chain(lam), [1.0, -1.0]) for lam in (0.0, 0.5, 0.9)]
+    cases.append((validate_chain(_NON_REVERSIBLE[0]), _NON_REVERSIBLE[1]))
+    cfg = SimConfig(trials=5, master_seed=2**35 + d)
+    for chain, f in cases:
+        for order in (row_major_order(d), diagonal_first_order(d)):
+            rep = run_matrix_experiment(B, order, chain, f, cfg, gaussian_trials=2)
+            per_trial = np.stack([build_markov_matrix(B, order, chain, f, int(s))
+                                  for s in trial_seeds(cfg.master_seed, cfg.trials)])
+            assert np.array_equal(rep.sample_norms, spectral_norms(per_trial))
+
+
+def test_run_matrix_experiment_validates_order_and_f():
+    B = CoefficientMatrix(np.ones((3, 3)))
+    cfg = SimConfig(trials=4, master_seed=1)
+    with pytest.raises(DimensionMismatch):
+        run_matrix_experiment(B, row_major_order(2), two_state_chain(0.5), [1.0, -1.0], cfg)
+    with pytest.raises(OutOfRange):
+        run_matrix_experiment(B, row_major_order(3), two_state_chain(0.5), [2.0, -2.0], cfg)
+
+
+# --- the report keeps no per-instance dict and derives bound_by_C ----------------
+
+def test_report_has_slots_and_derived_bounds():
+    B = CoefficientMatrix(np.ones((4, 4)))
+    cfg = SimConfig(trials=6, master_seed=9)
+    rep = run_matrix_experiment(B, row_major_order(4), two_state_chain(0.5), [1.0, -1.0], cfg,
+                                lam=0.5, C_grid=[0.5, 3.0], gaussian_trials=3)
+    assert not hasattr(rep, "__dict__")
+    assert rep.C_grid == (0.5, 3.0)
+    assert set(rep.bound_by_C) == {0.5, 3.0}
+    assert list(rep.to_dict()["bound_by_C"]) == ["0.5", "3.0"]
+    at_one = run_matrix_experiment(B, row_major_order(4), two_state_chain(0.5), [1.0, -1.0],
+                                   cfg, lam=1.0, gaussian_trials=3)
+    assert at_one.bound_by_C == {} and at_one.to_dict()["bound_by_C"] == {}
+    assert math.isnan(at_one.fitted_C)
+
+
+def test_report_retains_little_memory():
+    # callers that keep every report (a study loop, a benchmark runner) pay
+    # these bytes once per report
+    d, reports = 32, 200
+    B = CoefficientMatrix(np.ones((d, d)))
+    order = row_major_order(d)
+    chains = [(lam, two_state_chain(lam)) for lam in (0.0, 0.5, 0.9)]
+
+    def run(i):
+        lam, chain = chains[i % 3]
+        return run_matrix_experiment(B, order, chain, [1.0, -1.0],
+                                     SimConfig(trials=10, master_seed=1000 + i), lam=lam,
+                                     gaussian_trials=10)
+
+    run(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [run(i) for i in range(reports)]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == reports and retained / reports < 700

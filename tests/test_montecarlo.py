@@ -350,6 +350,22 @@ def test_simulate_sums_memory_is_streamed():
     assert peak < 10 * 2**20
 
 
+def test_vector_sum_tail_memory_is_streamed():
+    # the (T, n) paths and coefficients alone would take 160 MB
+    trials, n = 2000, 5000
+    funcs = sign_family(n)
+    chain = two_state_chain(0.5)
+    X = np.random.default_rng(0).normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        estimate_vector_sum_tail(chain, funcs, X, "euclidean", [1.0, 50.0],
+                                 SimConfig(trials=trials, master_seed=3), gaussian_trials=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # --- tail table against the per-threshold comparison ----------------------------
 
 def test_tail_table_matches_threshold_loop(rng):
