@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,12 +48,24 @@ class RunManifest:
     master_seed: int | None
     version: str
     started: float = 0.0
+    timings: dict = field(default_factory=dict)
 
     @property
     def duration_s(self) -> float:
         """Wall-clock time from invocation to rendering; excluded from the
         byte-identical data section."""
         return time.perf_counter() - self.started
+
+    def lap(self, stage: str):
+        """Record the wall time since the previous lap (or the start) as `stage`."""
+        self.timings[stage] = self.duration_s - sum(self.timings.values())
+
+    def timed_dict(self):
+        """stable_dict and duration_s, and the timings (render ends now) once lapped."""
+        if not self.timings:
+            return dict(self.stable_dict(), duration_s=self.duration_s)
+        self.lap("render")
+        return dict(self.stable_dict(), duration_s=self.duration_s, timings=self.timings)
 
     def stable_dict(self):
         return {"subcommand": self.subcommand, "input": self.input_path,
@@ -102,16 +114,17 @@ def _emit(text: str, output: str | None):
 
 
 def render_csv(manifest: RunManifest, rows) -> str:
-    lines = ["# manifest: " + json.dumps(manifest.stable_dict(), sort_keys=True),
-             f"# duration_s: {manifest.duration_s}"]
-    lines += (",".join(map(str, row)) for row in rows)  # str(float) is its repr
-    return "\n".join(lines) + "\n"
+    body = "".join(",".join(map(str, row)) + "\n" for row in rows)  # str(float) is its repr
+    m = dict(manifest.timed_dict(), manifest=manifest.stable_dict())
+    return "".join(f"# {k}: {json.dumps(m[k], sort_keys=True)}\n"
+                   for k in ("manifest", "duration_s", "timings") if k in m) + body
 
 
 def render_json(manifest: RunManifest, data) -> str:
-    m = manifest.stable_dict()
-    m["duration_s"] = manifest.duration_s
-    return json.dumps({"manifest": m, "data": data}, sort_keys=True, indent=2) + "\n"
+    # data first, for the render lap; indented as json.dumps nests it ("data" < "manifest")
+    body = json.dumps(data, sort_keys=True, indent=2).replace("\n", "\n  ")
+    m = json.dumps(manifest.timed_dict(), sort_keys=True, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "data": {body},\n  "manifest": {m}\n}}\n'
 
 
 def _cmd_spectral(args, manifest):
@@ -144,9 +157,8 @@ def _cmd_exact(args, manifest):
     if args.tail_grid:
         scale = funcs.a_l2
         dist = lattice_distribution(chain, funcs)
-        rows = [["u", "threshold", "exact_tail"]]
-        for u in parse_grid(args.tail_grid):
-            rows.append([float(u), float(u * scale), dist.tail(u * scale)])
+        rows = [["u", "threshold", "exact_tail"]] + [
+            [float(u), float(u * scale), dist.tail(u * scale)] for u in parse_grid(args.tail_grid)]
         _emit(render_csv(manifest, rows), args.output)
         return 0
     table = exact_moments(chain, funcs, args.q)
@@ -159,10 +171,13 @@ def _cmd_simulate(args, manifest):
     chain, funcs = load_chain(args.chain)
     if funcs is None:
         raise ValidationError("chain file must carry a 'functions' block for `simulate`")
+    manifest.lap("load")
     cfg = SimConfig(trials=args.trials, master_seed=args.seed)
     report = estimate_tail(chain, funcs, parse_grid(args.u_grid), cfg)
+    manifest.lap("simulate")
     rows = report.rows()
     data = {"columns": rows[0], "rows": rows[1:], "lambda": report.lam}
+    manifest.lap("rows")
     text = render_json(manifest, data) if args.format == "json" else render_csv(manifest, rows)
     _emit(text, args.output)
     return 0
@@ -176,8 +191,8 @@ def _cmd_matrix(args, manifest):
     elif args.pattern == "all-ones":
         B = CoefficientMatrix(np.ones((args.d, args.d)))
     else:
-        # symmetric uniform(0,1] entries from the seeded stream
-        u = uniform_block([args.seed ^ 0xB0B0], args.d * args.d)[0].reshape(args.d, args.d)
+        # symmetric uniform(0,1] entries from the seeded stream, seed mod 2^64
+        u = uniform_block([(args.seed ^ 0xB0B0) % 2**64], args.d * args.d).reshape(args.d, args.d)
         B = CoefficientMatrix((u + u.T) / 2.0 + 1e-3)
     order = diagonal_first_order(B.d) if args.order == "diagonal-first" else row_major_order(B.d)
     chain = two_state_chain(args.lam)
@@ -190,18 +205,13 @@ def _cmd_matrix(args, manifest):
 def _cmd_verify(args, manifest):
     chain, funcs = load_chain(args.chain)
     tol = DEFAULT_TOL
-    failures = []
-
-    def check(name, ok):
-        if not ok:
-            failures.append(name)
-
+    checks = {}  # name -> passed, in the order run
     E = averaging_operator(chain)
     A = chain.transition
     pi = chain.stationary
-    check("E_pi_projector", np.abs(E @ E - E).max() <= tol.projector)
-    check("E_pi_commutes", np.abs(E @ A - E).max() <= tol.projector
-          and np.abs(A @ E - E).max() <= tol.projector)
+    checks["E_pi_projector"] = np.abs(E @ E - E).max() <= tol.projector
+    checks["E_pi_commutes"] = (np.abs(E @ A - E).max() <= tol.projector
+                               and np.abs(A @ E - E).max() <= tol.projector)
     lam = contraction(chain)
     # A^k and (A - E)^k for k = 1..20, carried as two separate products: the
     # power identity compares A^k - E with the independently built (A - E)^k.
@@ -216,21 +226,22 @@ def _cmd_verify(args, manifest):
     identity_err = np.abs(devs - np.stack(dev_powers)).max(axis=(1, 2))
     norms = l2_opnorms(devs, NormContext(pi))
     for k in range(1, 21):
-        check(f"row_stochastic_k{k}", row_err[k - 1] <= tol.row_sum)
-        check(f"stationary_k{k}", stat_err[k - 1] <= 1e-8)
-        check(f"power_identity_k{k}", identity_err[k - 1] <= tol.entrywise_identity)
+        checks[f"row_stochastic_k{k}"] = row_err[k - 1] <= tol.row_sum
+        checks[f"stationary_k{k}"] = stat_err[k - 1] <= 1e-8
+        checks[f"power_identity_k{k}"] = identity_err[k - 1] <= tol.entrywise_identity
         if lam < 1.0:
-            check(f"decay_k{k}", norms[k - 1] <= lam**k + tol.inequality_slack)
+            checks[f"decay_k{k}"] = norms[k - 1] <= lam**k + tol.inequality_slack
     if funcs is not None and chain.n_states ** funcs.n_steps <= 10**5:
         bf = brute_force_distribution(chain, funcs)
-        check("oracle_tail", abs(exact_tail(chain, funcs, funcs.a_l2)
-                                 - bf.tail(funcs.a_l2)) <= tol.oracle_agreement)
+        checks["oracle_tail"] = abs(exact_tail(chain, funcs, funcs.a_l2)
+                                    - bf.tail(funcs.a_l2)) <= tol.oracle_agreement
         table = exact_moments(chain, funcs, 4)
-        check("oracle_moments", all(abs(table[m] - bf.moment(m)) <= tol.oracle_agreement * 10
-                                    for m in range(5)))
+        checks["oracle_moments"] = all(abs(table[m] - bf.moment(m)) <= tol.oracle_agreement * 10
+                                       for m in range(5))
         if lam < 1.0:
-            check("moment_bound_q4",
-                  table[4] <= bound_moment(4, lam, funcs.bounds) + tol.inequality_slack)
+            checks["moment_bound_q4"] = (table[4] <= bound_moment(4, lam, funcs.bounds)
+                                         + tol.inequality_slack)
+    failures = [name for name, ok in checks.items() if not ok]
     data = {"lambda": lam, "checks_failed": failures, "ok": not failures}
     _emit(render_json(manifest, data), args.output)
     return 0 if not failures else 1

@@ -5,11 +5,11 @@ Determinism contract: every random draw is a pure function of
 (master_seed, trial index, step counter), so reports are bit-identical for a
 fixed configuration regardless of batching.
 
-The chain walk is streamed: `_steps` draws the uniforms of a block of steps
-at a time and yields the state vector of all trials step by step, so
-`simulate_sums` and `estimate_vector_sum_tail` hold O(trials * (block + dim X))
-memory instead of the (trials, n) uniform and state arrays.  Its states are
-bit-identical to the inverse-CDF walk over the full (trials, n) block.
+The chain walk is streamed: `_steps` draws a block of steps at a time,
+step-major into two reused buffers (`rng.uniform_steps`), and yields each
+step's state vector, so the sums hold O(trials * (block + dim X)) memory, not
+the (trials, n) uniform and state arrays.  Its states are bit-identical to
+the inverse-CDF walk over the full (trials, n) block.
 """
 
 import functools
@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import evaluate_tail_bounds, tail_rows
 from .chain import FunctionFamily, MarkovChain
 from .errors import DimensionMismatch, EmptyInput, OutOfRange
-from .rng import normal_block, trial_seeds, uniform_block
+from .rng import normal_block, trial_seeds, uniform_steps
 from .spectral import contraction, spectral_norms
 
 _Z95 = 1.959963984540054
@@ -69,10 +69,10 @@ class TailReport:
         return tail_rows(leading, self.bounds, sorted(self.bounds))
 
 
-# One block of uniforms holds at most _BLOCK_DRAWS draws (1 MB of float64) and
-# at most _BLOCK_STEPS steps: small enough to stay in cache, large enough that
+# One block of uniforms holds at most _BLOCK_DRAWS draws (two 512 KB buffers) and
+# at most _BLOCK_STEPS steps: small enough to stay in L2, large enough that
 # per-call overhead is negligible.
-_BLOCK_DRAWS = 1 << 17
+_BLOCK_DRAWS = 1 << 16
 _BLOCK_STEPS = 32
 
 
@@ -112,12 +112,10 @@ def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
 
     Trial t uses the counter stream of seeds[t]: its first state inverts the
     stationary CDF at uniform 1, and state k inverts the transition row of
-    state k-1 at uniform k.  Uniforms are drawn one block of steps at a time."""
+    state k-1 at uniform k, each used before the next is drawn (`uniform_steps`)."""
     if n < 1:
         raise OutOfRange("n must be at least 1")
-    block = _block_steps(len(seeds))
-    blocks = (uniform_block(seeds, min(start + block, n), start) for start in range(0, n, block))
-    uniforms = itertools.chain.from_iterable(np.ascontiguousarray(b.T) for b in blocks)
+    uniforms = uniform_steps(seeds, n, _block_steps(len(seeds)))
     # searchsorted over all but the last entry caps the first state at N-1
     first = np.searchsorted(np.cumsum(chain.stationary)[:-1], next(uniforms), side="right")
     table, bits = _cdf_table(chain.transition)
@@ -206,8 +204,7 @@ def estimate_gaussian_norm(x_vectors, norm_kind: str, cfg: SimConfig):
     X = np.asarray(x_vectors, dtype=float)
     if X.size == 0:
         raise EmptyInput("need at least one X vector")
-    n = X.shape[0]
-    g = normal_block(trial_seeds(cfg.master_seed, cfg.trials), n)
+    g = normal_block(trial_seeds(cfg.master_seed, cfg.trials), X.shape[0])
     sums = np.tensordot(g, X, axes=(1, 0))
     return _mean_interval(_norms(sums, norm_kind))
 
@@ -233,7 +230,7 @@ def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vector
         sums += np.multiply.outer(f[states], x)
     norms = _norms(sums, norm_kind)
 
-    g_cfg = SimConfig(trials=gaussian_trials or cfg.trials,
+    g_cfg = SimConfig(trials=cfg.trials if gaussian_trials is None else gaussian_trials,
                       master_seed=int(trial_seeds(cfg.master_seed ^ 0x5A5A5A5A, 1)[0]))
     g_mean, _, _ = estimate_gaussian_norm(X, norm_kind, g_cfg)
 

@@ -140,10 +140,8 @@ def exact_mgf(chain: MarkovChain, funcs: FunctionFamily, theta: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         p = chain.stationary * np.exp(theta * funcs.values[0])
         for k in range(1, funcs.n_steps):
-            p = (p @ A) * np.exp(theta * funcs.values[k])
-            if not np.all(np.isfinite(p)):
-                raise Overflow("MGF recursion left the representable range")
-    total = float(p.sum())
+            p = (p @ A) * np.exp(theta * funcs.values[k])  # inf or NaN persists into the total
+        total = float(p.sum())
     if not math.isfinite(total):
         raise Overflow("MGF recursion left the representable range")
     return total
@@ -185,8 +183,7 @@ def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily,
     pitch, base, K = _lattice_decomposition(funcs, tol)
     N = chain.n_states
     if pitch is None:
-        return LatticeDistribution(step=0.0, base=base,
-                                   offsets=np.array([0]), probabilities=np.array([1.0]))
+        return _distribution(None, base, 0, None)
     A = chain.transition
     n = funcs.n_steps
     lo = int(np.minimum(K, 0).min(axis=1).sum())
@@ -207,11 +204,16 @@ def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily,
                 D[v, s:] = T[v, :width - s] if s else T[v]
             else:
                 D[v, :s] = T[v, -s:]
-    probs = D.sum(axis=0)
+    return _distribution(pitch, base, lo, D.sum(axis=0))
+
+
+def _distribution(pitch, base, lo, probs) -> LatticeDistribution:
+    """probs[i] at base + pitch * (lo + i), zeros dropped; pitch None: S_n = base surely."""
+    if pitch is None:
+        return LatticeDistribution(0.0, base, np.array([0]), np.array([1.0]))
     keep = probs > 0
-    offsets = np.arange(lo, hi + 1)[keep]
-    return LatticeDistribution(step=float(pitch), base=base,
-                               offsets=offsets, probabilities=probs[keep])
+    offsets = np.arange(lo, lo + len(probs))[keep]
+    return LatticeDistribution(float(pitch), base, offsets, probs[keep])
 
 
 def exact_tail(chain: MarkovChain, funcs: FunctionFamily, threshold: float,
@@ -243,18 +245,13 @@ def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
     pitch, base, K = _lattice_decomposition(funcs, tol)
     probs = _path_probabilities(chain, funcs.n_steps)
     if pitch is None:
-        return LatticeDistribution(step=0.0, base=base,
-                                   offsets=np.array([0]), probabilities=np.array([1.0]))
+        return _distribution(None, base, 0, None)
     idx = K[0]
     for k in K[1:]:
         idx = idx[..., None] + k
     idx = idx.ravel()
     lo = int(idx.min())
-    agg = np.bincount(idx - lo, weights=probs.ravel())
-    keep = agg > 0
-    return LatticeDistribution(step=float(pitch), base=base,
-                               offsets=np.arange(lo, lo + len(agg))[keep],
-                               probabilities=agg[keep])
+    return _distribution(pitch, base, lo, np.bincount(idx - lo, weights=probs.ravel()))
 
 
 def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:

@@ -4,7 +4,8 @@ All simulation randomness is derived by hashing (seed, counter) pairs through
 a 64-bit finalizer (splitmix64).  There is no generator state, so per-trial
 streams are independent of execution order, and any range of a stream's
 counters can be drawn on its own, bit-identical to the same columns of the
-full block.
+full block.  One in-place mixer serves every draw; `uniform_steps` draws
+counter-major into two buffers reused block after block.
 """
 
 import numpy as np
@@ -12,33 +13,36 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64
-_TWO_NEG_52 = 2.0**-52
+
+
+def _mix(z, tmp):
+    """splitmix64's finalizer in place on uint64 z = input + golden (tmp: scratch)."""
+    z ^= np.right_shift(z, 30, out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, 27, out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
 
 
 def splitmix64(x):
-    """Finalize 64-bit integers (scalar or array) into well-mixed uint64.
-
-    The multiplications wrap modulo 2^64 by design.  numpy warns about that
-    on scalars only, so a scalar goes through the 1-element array path."""
-    z = np.asarray(x, dtype=np.uint64)
-    if z.ndim == 0:
-        return splitmix64(z.reshape(1))[0]
-    z = z + _GOLDEN
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """Finalize 64-bit integers (scalar or array) into well-mixed uint64."""
+    z = np.array(x, dtype=np.uint64, ndmin=1) + _GOLDEN  # numpy warns on scalar wraparound
+    z = _mix(z, np.empty_like(z))
+    return z if np.ndim(x) else z[0]
 
 
 def trial_seeds(master_seed, trials):
     """Independent per-trial seeds from one master seed."""
     idx = np.arange(1, trials + 1, dtype=np.uint64)
-    return splitmix64(_U64(master_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * idx)
+    return splitmix64(np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN * idx)
 
 
 def _to_unit(bits):
-    # (0, 1), never exactly 0: safe as a log() argument
-    return ((bits >> _U64(12)).astype(np.float64) + 0.5) * _TWO_NEG_52
+    # in place: (k + 1/2) 2^-52 in (0, 1) for k = bits >> 12, as (1 + k 2^-52) - (1 - 2^-53)
+    bits >>= 12
+    bits |= np.uint64(0x3FF0000000000000)  # 1.0 as float64 bits
+    return np.subtract(bits.view(np.float64), 1.0 - 2.0**-53, out=bits.view(np.float64))
 
 
 def uniform_block(seeds, stop, start=0):
@@ -46,17 +50,28 @@ def uniform_block(seeds, stop, start=0):
 
     Column j holds counter start + j + 1, so adjacent ranges concatenate to
     uniform_block(seeds, stop)."""
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    ctr = _GOLDEN * np.arange(start + 1, stop + 1, dtype=np.uint64)
-    return _to_unit(splitmix64(seeds + ctr))
+    # counter c of seed s hashes s + golden * c, i.e. mixes s + golden * (c + 1)
+    z = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + _GOLDEN * np.arange(
+        start + 2, stop + 2, dtype=np.uint64)
+    return _to_unit(_mix(z, np.empty_like(z)))
+
+
+def uniform_steps(seeds, stop, block):
+    """The columns of uniform_block(seeds, stop) in order, drawn `block` at a time into
+    buffers reused for every block: each is valid until the next is requested."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    z, tmp = np.empty((2, block, len(seeds)), dtype=np.uint64)
+    for start in range(0, stop, block):
+        rows = min(block, stop - start)
+        ctr = _GOLDEN * np.arange(start + 2, start + rows + 2, dtype=np.uint64)
+        yield from _to_unit(_mix(np.add.outer(ctr, seeds, out=z[:rows]), tmp[:rows]))
 
 
 def normal_block(seeds, count):
     """Standard normals via Box-Muller on the counter stream; shape (len(seeds), count)."""
     pairs = (count + 1) // 2
     u = uniform_block(seeds, 2 * pairs)
-    u1, u2 = u[:, :pairs], u[:, pairs:]
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = 2.0 * np.pi * u2
+    r = np.sqrt(-2.0 * np.log(u[:, :pairs]))
+    ang = 2.0 * np.pi * u[:, pairs:]
     z = np.concatenate([r * np.cos(ang), r * np.sin(ang)], axis=1)
     return z[:, :count]

@@ -50,6 +50,28 @@ def brute_force_string_sum(x):
                for s in brute_force_strings(len(x)))
 
 
+# Reference splitmix64 on Python ints, masked to 64 bits after each step; it
+# shares no code with mchoeffding.rng.  Works elementwise on object arrays.
+M64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def ref_splitmix64(x):
+    z = (x + GOLDEN) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def ref_uniforms(seeds, stop, start=0):
+    """(len(seeds), stop - start) uniforms: counter c of seed s is
+    ((splitmix64(s + golden * c) >> 12) + 1/2) * 2^-52, in Python floats."""
+    s = np.array([int(x) for x in seeds], dtype=object)[:, None]
+    c = np.array([GOLDEN * k for k in range(start + 1, stop + 1)], dtype=object)[None, :]
+    bits = ref_splitmix64((s + c) & M64)
+    return (((bits >> 12) + 0.5) * 2.0**-52).astype(float)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -144,6 +144,44 @@ def test_matrix_subcommand(tmp_path):
     assert math.isfinite(blob["fitted_C"])
 
 
+def test_matrix_random_uniform_seed_wraps_mod_2_64(tmp_path):
+    """Seeds outside [0, 2^64) used to raise a raw OverflowError; they now
+    wrap mod 2^64 like the trial seeds do."""
+    def data(seed):
+        out = tmp_path / f"m{seed}.json"
+        assert main(["matrix", "--pattern", "random-uniform", "--seed", str(seed), "--d", "3",
+                     "--trials", "2", "--output", str(out)]) == 0
+        blob = json.loads(out.read_text())
+        assert blob["manifest"]["master_seed"] == blob["data"].pop("master_seed") == seed
+        return blob["data"]
+
+    assert data(-1) == data(2**64 - 1)
+    assert data(2**64) == data(0)
+    assert data(2**64 + 5) == data(5) != data(0)
+
+
+def test_simulate_reports_stage_timings(tmp_path, chain_file):
+    """Per-stage wall times sit next to duration_s, outside the data section."""
+    stages = {"load", "simulate", "rows", "render"}
+    argv = ["simulate", "--chain", chain_file, "--u-grid", "0:2:1", "--trials", "200"]
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--output", str(csv_out)]) == 0
+    head = csv_out.read_text().splitlines()[:4]
+    assert head[1].startswith("# duration_s: ") and head[2].startswith("# timings: ")
+    assert head[3].startswith("u,")
+    timings = json.loads(head[2][len("# timings: "):])
+    assert set(timings) == stages and min(timings.values()) >= 0.0
+    assert sum(timings.values()) <= float(head[1][len("# duration_s: "):])
+    assert main(argv + ["--format", "json", "--output", str(json_out)]) == 0
+    manifest = json.loads(json_out.read_text())["manifest"]
+    assert set(manifest["timings"]) == stages
+    assert sum(manifest["timings"].values()) <= manifest["duration_s"]
+    # other subcommands carry no timings
+    bounds_out = tmp_path / "b.csv"
+    assert main(["bounds", "--u-grid", "0:1:1", "--lambda", "0", "--output", str(bounds_out)]) == 0
+    assert not any(ln.startswith("# timings") for ln in bounds_out.read_text().splitlines())
+
+
 def test_matrix_rejects_bad_coefficients(tmp_path, capsys):
     inf_file = tmp_path / "inf.json"
     inf_file.write_text("[[1.0, Infinity], [Infinity, 1.0]]")
@@ -237,6 +275,7 @@ def _manifest(path):
         return json.loads(text.splitlines()[0][len("# manifest: "):])
     manifest = json.loads(text)["manifest"]
     del manifest["duration_s"]
+    manifest.pop("timings", None)
     return manifest
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -29,7 +30,7 @@ from mchoeffding.montecarlo import (
 )
 from mchoeffding.rng import normal_block, splitmix64, trial_seeds, uniform_block
 
-from conftest import random_chain, random_lattice_family
+from conftest import random_chain, random_lattice_family, ref_uniforms
 
 
 def test_wilson_interval_contains_estimate():
@@ -159,6 +160,14 @@ def test_vector_sum_tail_zero_functions():
     assert np.all(report.estimates == 0.0)
 
 
+def test_vector_sum_tail_rejects_zero_gaussian_trials():
+    # 0 is not "unset": it fails like run_matrix_experiment's gaussian_trials=0
+    chain = two_state_chain(0.3)
+    with pytest.raises(OutOfRange):
+        estimate_vector_sum_tail(chain, sign_family(3), np.eye(3), "euclidean", [1.0],
+                                 SimConfig(trials=20, master_seed=1), gaussian_trials=0)
+
+
 def test_vector_sum_tail_needs_one_vector_per_step():
     cfg = SimConfig(trials=10, master_seed=4)
     for X in (np.eye(2), np.eye(4)):
@@ -248,10 +257,16 @@ def test_zero_steps_rejected():
 
 # --- streamed walk against the (trials, n) inverse-CDF walk ---------------------
 
-def seed_walk(chain, seeds, n):
-    """Reference walk: the full (trials, n) uniform block, then per step count
-    the cumulative entries below u and clip to the last state."""
-    u = uniform_block(seeds, n)
+@functools.cache
+def _reference_uniforms(master_seed, trials, n):
+    """The (trials, n) uniform block from the pure-Python splitmix64."""
+    return ref_uniforms(trial_seeds(master_seed, trials), n)
+
+
+def seed_walk(chain, u):
+    """Reference walk over a (trials, n) uniform block: per step count the
+    cumulative entries below u and clip to the last state."""
+    n = u.shape[1]
     last = chain.n_states - 1
     cum_rows = np.cumsum(chain.transition, axis=1)
     cum_pi = np.cumsum(chain.stationary)
@@ -297,8 +312,9 @@ def test_streamed_walk_matches_seed_walk(name, trials):
     cfg = SimConfig(trials=trials, master_seed=41)
     seeds = trial_seeds(cfg.master_seed, cfg.trials)
     block = _block_steps(cfg.trials)
+    u = _reference_uniforms(cfg.master_seed, cfg.trials, 3 * block + 5)
     for n in (1, block - 1, block, block + 1, 3 * block + 5):
-        ref = seed_walk(chain, seeds, n)
+        ref = seed_walk(chain, u[:, :n])  # counters 1..n are the first n columns
         np.testing.assert_array_equal(sample_paths(chain, n, cfg), ref)
         np.testing.assert_array_equal(sample_path(chain, n, int(seeds[7])), ref[7])
         values = np.random.default_rng(n).normal(size=(n, chain.n_states))

@@ -1,0 +1,64 @@
+"""The counter-based generator against an independent pure-Python splitmix64."""
+
+import numpy as np
+import pytest
+
+from mchoeffding.montecarlo import _block_steps
+from mchoeffding.rng import _to_unit, splitmix64, trial_seeds, uniform_block, uniform_steps
+
+from conftest import M64, ref_splitmix64, ref_uniforms
+
+
+def test_reference_matches_published_splitmix64():
+    # first output of SplitMix64 seeded with 0 (Steele, Lea and Flood, 2014)
+    assert ref_splitmix64(0) == 0xE220A8397B1DCDAF
+    assert splitmix64(0) == np.uint64(0xE220A8397B1DCDAF)
+
+
+def test_splitmix64_matches_reference():
+    xs = [0, 1, 2, 12345, 2**32 - 1, 2**63 - 1, 2**63, M64 - 1, M64]
+    xs += [int(x) for x in np.random.default_rng(5).integers(0, 2**63, size=200)]
+    got = splitmix64(np.array(xs, dtype=np.uint64))
+    assert [int(z) for z in got] == [ref_splitmix64(x) for x in xs]
+    for x in xs[:9]:
+        assert int(splitmix64(x)) == ref_splitmix64(x)
+
+
+def test_trial_seeds_match_reference():
+    for master in (0, 7, -1, 2**64 + 5):
+        want = [ref_splitmix64(((master & M64) + 0x9E3779B97F4A7C15 * t) & M64)
+                for t in range(1, 6)]
+        assert [int(s) for s in trial_seeds(master, 5)] == want
+
+
+@pytest.mark.parametrize("start, stop", [(0, 1), (0, 40), (1, 2), (13, 77), (5, 5)])
+def test_uniform_block_matches_reference(start, stop):
+    seeds = np.concatenate([trial_seeds(3, 50), np.array([0, 1, M64], dtype=np.uint64)])
+    np.testing.assert_array_equal(uniform_block(seeds, stop, start),
+                                  ref_uniforms(seeds, stop, start))
+
+
+@pytest.mark.parametrize("trials", [1, 7, 300, 20_000])
+def test_walk_draws_match_reference(trials):
+    """The walk's draws: step k is column k of the reference block, for the
+    walk's own block size and for others, each vector copied before the next
+    is requested (the buffers are reused)."""
+    seeds = trial_seeds(41, trials)
+    walk_block = _block_steps(trials)
+    n = 2 * walk_block + 3
+    ref = ref_uniforms(seeds, n)
+    for block in sorted({1, 2, walk_block, n, n + 4}):
+        got = np.array([u.copy() for u in uniform_steps(seeds, n, block)])
+        np.testing.assert_array_equal(got, ref.T)
+        assert all(u.flags.c_contiguous for u in uniform_steps(seeds, n, block))
+
+
+def test_to_unit_is_exact_at_every_boundary():
+    """(k + 1/2) 2^-52 for the top 52 bits k, whatever the low 12 bits hold."""
+    ks = [0, 1, 2, 3, 2**26, 2**51 - 1, 2**51, 2**51 + 1, 2**52 - 2, 2**52 - 1]
+    ks += [int(k) for k in np.random.default_rng(9).integers(0, 2**52, size=1000)]
+    for low in (0, 1, 0x800, 0xFFF):
+        bits = np.array([(k << 12) | low for k in ks], dtype=np.uint64)
+        u = _to_unit(bits)
+        np.testing.assert_array_equal(u, [(k + 0.5) * 2.0**-52 for k in ks])
+    assert 0.0 < u.min() and u.max() < 1.0
