@@ -197,7 +197,9 @@ def _cmd_matrix(args, manifest):
     order = diagonal_first_order(B.d) if args.order == "diagonal-first" else row_major_order(B.d)
     chain = two_state_chain(args.lam)
     cfg = SimConfig(trials=args.trials, master_seed=args.seed)
+    manifest.lap("setup")
     report = run_matrix_experiment(B, order, chain, [1.0, -1.0], cfg, lam=args.lam)
+    manifest.lap("experiment")
     _emit(render_json(manifest, report.to_dict()), args.output)
     return 0
 

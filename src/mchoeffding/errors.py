@@ -65,6 +65,10 @@ class InvalidOrder(ValidationError):
     pass
 
 
+class OrderMismatch(InvalidOrder, DimensionMismatch):
+    """A fill order built for another d than the coefficient matrix's."""
+
+
 class EmptyInput(ValidationError):
     pass
 

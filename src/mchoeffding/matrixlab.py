@@ -3,11 +3,12 @@
 A symmetric coefficient matrix B with positive entries is filled with signs
 f(Y_t) read off a stationary chain path, one upper-triangular entry per step
 in a pluggable order, and the spectral norm of the result is compared to the
-Gaussian baseline and the 1/sqrt(1-lam) bound.  One fill scatters a block of
-path-ordered entries into a stack of symmetric matrices, for the Markov and
-the Gaussian matrices alike, and every norm comes from numpy's LAPACK SVD,
-which takes the whole stack in one call."""
+Gaussian baseline and the 1/sqrt(1-lam) bound.  A fill order is a permutation
+array over np.triu_indices(d); one fill scatters path-ordered entries (a few
+paths come from the walk's prefix scan) into a stack of symmetric matrices,
+Markov and Gaussian alike, and one LAPACK SVD call takes the stack's norms."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .bounds import bound_matrix_schatten
 from .chain import MarkovChain, make_family
-from .errors import DimensionMismatch, InvalidOrder, OutOfRange
+from .errors import DimensionMismatch, InvalidOrder, OrderMismatch, OutOfRange
 from .montecarlo import SimConfig, _mean_interval, sample_path, sample_paths
 from .rng import normal_block, trial_seeds
 from .spectral import contraction, spectral_norms
@@ -47,36 +48,45 @@ class CoefficientMatrix:
     def d(self):
         return self.entries.shape[0]
 
+    @functools.cached_property
+    def _norms(self) -> tuple:
+        """(sigma, sigma_star, ||B||_Sinf), computed once and shared by every report on B."""
+        return (*sigma_params(self), schatten_norm(self.entries, math.inf))
 
-def upper_indices(d: int):
-    """The index set of pairs (i, j) with i <= j, row-major."""
-    return [(i, j) for i in range(d) for j in range(i, d)]
+
+@functools.cache
+def _upper(d: int) -> np.ndarray:
+    """np.triu_indices(d) as one read-only (2, m) array: the pairs i <= j, row-major."""
+    iu = np.array(np.triu_indices(d))
+    iu.setflags(write=False)
+    return iu
 
 
 @dataclass(frozen=True)
 class FillOrder:
-    """Injective map from upper-triangular pairs to path positions 1..(d^2+d)/2."""
+    """Pair k of np.triu_indices(d) takes path position omega = positions[k] + 1, 1..(d^2+d)/2."""
 
     d: int
-    omega: dict
+    positions: np.ndarray
 
     def __post_init__(self):
-        pairs = upper_indices(self.d)
-        m = (self.d * self.d + self.d) // 2
-        vals = [self.omega.get(p) for p in pairs]
-        if None in vals or len(set(vals)) != m or not all(1 <= v <= m for v in vals):
-            raise InvalidOrder("omega must map the upper triangle bijectively onto 1..(d^2+d)/2")
+        p, m = np.array(self.positions), (self.d * self.d + self.d) // 2
+        if (self.d < 1 or not np.issubdtype(p.dtype, np.integer) or p.shape != (m,)
+                or p.min() < 0 or p.max() >= m or np.bincount(p.astype(np.intp)).max() > 1):
+            raise InvalidOrder(f"positions must permute 0..{m - 1} over np.triu_indices({self.d})")
+        p.setflags(write=False)
+        object.__setattr__(self, "positions", p)
 
 
 def row_major_order(d: int) -> FillOrder:
-    return FillOrder(d=d, omega={p: k + 1 for k, p in enumerate(upper_indices(d))})
+    return FillOrder(d=d, positions=np.arange((d * d + d) // 2))
 
 
 def diagonal_first_order(d: int) -> FillOrder:
     """All diagonal entries first, then the strict upper triangle row-major."""
-    diag = [(i, i) for i in range(d)]
-    strict = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    return FillOrder(d=d, omega={p: k + 1 for k, p in enumerate(diag + strict)})
+    i, j = _upper(d)
+    # strict pair k follows the i + 1 diagonal pairs of rows 0..i in np.triu_indices order
+    return FillOrder(d=d, positions=np.where(i == j, i, d + np.arange(len(i)) - i - 1))
 
 
 def sigma_params(B: CoefficientMatrix):
@@ -92,15 +102,14 @@ def build_markov_matrix(B: CoefficientMatrix, order: FillOrder, chain: MarkovCha
     triangle, mirrored below.  `f_values` is one mean-zero function table with
     |f| <= 1."""
     f = _checked_f(B, order, chain, f_values)
-    path = sample_path(chain, (B.d * B.d + B.d) // 2, seed)
-    return _fill(B, order, f[path][None, :])[0]
+    return _fill(B, order, f[sample_path(chain, (B.d * B.d + B.d) // 2, seed)][None, :])[0]
 
 
 def _checked_f(B: CoefficientMatrix, order: FillOrder, chain: MarkovChain,
                f_values) -> np.ndarray:
     """The validated table of f over the chain's states, for filling B in `order`."""
     if order.d != B.d:
-        raise DimensionMismatch("fill order dimension must match B")
+        raise OrderMismatch(f"fill order is for d = {order.d}, B has d = {B.d}")
     funcs = make_family([list(f_values)], chain=chain)
     if funcs.bounds[0] > 1.0 + 1e-12:
         raise OutOfRange("|f| must be bounded by 1")
@@ -108,14 +117,11 @@ def _checked_f(B: CoefficientMatrix, order: FillOrder, chain: MarkovChain,
 
 
 def _fill(B: CoefficientMatrix, order: FillOrder, values: np.ndarray) -> np.ndarray:
-    """(T, d, d) symmetric stack with X[t, i, j] = values[t, omega(i, j) - 1] * b_ij.
-
-    `values` holds one row of (d^2+d)/2 path-ordered entries per matrix."""
-    pairs = upper_indices(order.d)
-    i, j = np.array(pairs).T
-    k = np.array([order.omega[p] for p in pairs]) - 1
+    """(T, d, d) symmetric stack with X[t, i, j] = values[t, omega(i, j) - 1] * b_ij,
+    where `values` holds one row of (d^2+d)/2 path-ordered entries per matrix."""
+    i, j = _upper(order.d)
     X = np.zeros((len(values), order.d, order.d))
-    X[:, i, j] = values[:, k] * B.entries[i, j]
+    X[:, i, j] = values[:, order.positions] * B.entries[i, j]
     X[:, j, i] = X[:, i, j]
     return X
 
@@ -135,20 +141,29 @@ def schatten_norm(M, p) -> float:
 
 @dataclass(frozen=True, slots=True)
 class MatrixExperimentReport:
+    """Mean norm, interval and fitted C derive from the read-only `sample_norms` on access."""
+
     d: int
     lam: float
     trials: int
     master_seed: int
-    mean_norm: float
-    ci_low: float
-    ci_high: float
     sigma: float
     sigma_star: float
     b_norm: float
     C_grid: tuple
-    fitted_C: float           # minimal C making the first branch cover the mean
     gaussian_mean: float
     sample_norms: np.ndarray
+    mean_norm = property(lambda self: _mean_interval(self.sample_norms)[0])
+    ci_low = property(lambda self: _mean_interval(self.sample_norms)[1])
+    ci_high = property(lambda self: _mean_interval(self.sample_norms)[2])
+
+    @property
+    def fitted_C(self) -> float:
+        """The minimal C making the first branch cover the mean; NaN unless lam < 1."""
+        if not self.lam < 1.0:
+            return float("nan")
+        gauss = self.sigma + self.sigma_star * math.sqrt(math.log(self.d))
+        return self.mean_norm * math.sqrt(1.0 - self.lam) / gauss
 
     @property
     def bound_by_C(self) -> dict:
@@ -195,17 +210,10 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
         lam = contraction(chain)
     paths = sample_paths(chain, (B.d * B.d + B.d) // 2, cfg)
     norms = spectral_norms(_fill(B, order, f[paths]))
-    mean, ci_low, ci_high = _mean_interval(norms)
-    sigma, sigma_star = sigma_params(B)
-    if lam < 1.0:
-        fitted_C = mean * math.sqrt(1.0 - lam) / (sigma + sigma_star * math.sqrt(math.log(B.d)))
-    else:
-        fitted_C = float("nan")
+    norms.setflags(write=False)
     g_seed = int(trial_seeds(cfg.master_seed ^ 0x3C3C3C3C, 1)[0])
-    g_mean = gaussian_counterpart_mean(B, gaussian_trials, g_seed)
+    sigma, sigma_star, b_norm = B._norms
     return MatrixExperimentReport(
         d=B.d, lam=float(lam), trials=cfg.trials, master_seed=cfg.master_seed,
-        mean_norm=mean, ci_low=ci_low, ci_high=ci_high,
-        sigma=sigma, sigma_star=sigma_star, b_norm=schatten_norm(B.entries, math.inf),
-        C_grid=tuple(C_grid), fitted_C=fitted_C, gaussian_mean=g_mean,
-        sample_norms=norms)
+        sigma=sigma, sigma_star=sigma_star, b_norm=b_norm, C_grid=tuple(C_grid),
+        gaussian_mean=gaussian_counterpart_mean(B, gaussian_trials, g_seed), sample_norms=norms)

@@ -182,6 +182,34 @@ def test_simulate_reports_stage_timings(tmp_path, chain_file):
     assert not any(ln.startswith("# timings") for ln in bounds_out.read_text().splitlines())
 
 
+@pytest.mark.parametrize("order", ["row-major", "diagonal-first"])
+def test_matrix_reports_stage_timings_and_repeats_its_data(tmp_path, order):
+    argv = ["matrix", "--d", "5", "--lambda", "0.5", "--trials", "7", "--seed", "11",
+            "--pattern", "random-uniform", "--order", order]
+    runs = []
+    for name in ("a.json", "b.json"):
+        assert main(argv + ["--output", str(tmp_path / name)]) == 0
+        text = (tmp_path / name).read_text()
+        runs.append(text[:text.index('"manifest"')])  # the data section, byte for byte
+        manifest = json.loads(text)["manifest"]
+        assert set(manifest["timings"]) == {"setup", "experiment", "render"}
+        assert min(manifest["timings"].values()) >= 0.0
+        assert sum(manifest["timings"].values()) <= manifest["duration_s"]
+    assert runs[0] == runs[1]
+
+
+def test_matrix_invalid_fill_order_exits_one(tmp_path, capsys, monkeypatch):
+    def duplicate_order(d):
+        return mchoeffding.FillOrder(d=d, positions=np.zeros((d * d + d) // 2, dtype=int))
+
+    monkeypatch.setattr(mchoeffding.cli, "row_major_order", duplicate_order)
+    out = tmp_path / "m.json"
+    assert main(["matrix", "--d", "3", "--trials", "2", "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: positions must permute") and "Traceback" not in err
+
+
 def test_matrix_rejects_bad_coefficients(tmp_path, capsys):
     inf_file = tmp_path / "inf.json"
     inf_file.write_text("[[1.0, Infinity], [Infinity, 1.0]]")

@@ -16,7 +16,7 @@ from mchoeffding import (
     validate_chain,
 )
 from mchoeffding.errors import DimensionMismatch, InvalidOrder, OutOfRange, ValidationError
-from mchoeffding.matrixlab import FillOrder, diagonal_first_order, row_major_order, upper_indices
+from mchoeffding.matrixlab import FillOrder, diagonal_first_order, row_major_order
 from mchoeffding.montecarlo import sample_path
 from mchoeffding.rng import normal_block, trial_seeds
 from mchoeffding.spectral import spectral_norms
@@ -64,10 +64,73 @@ def test_coefficient_matrix_validation():
 def test_fill_orders_are_bijective():
     for d in (1, 2, 5):
         for order in (row_major_order(d), diagonal_first_order(d)):
-            vals = sorted(order.omega.values())
+            vals = sorted(order.positions + 1)
             assert vals == list(range(1, (d * d + d) // 2 + 1))
     with pytest.raises(InvalidOrder):
-        FillOrder(d=2, omega={p: 1 for p in upper_indices(2)})
+        FillOrder(d=2, positions=np.zeros(3, dtype=int))
+
+
+def _omega_reference(d, diagonal_first):
+    """The fill orders as dicts (i, j) -> path position 1..(d^2+d)/2, built
+    pair by pair in Python."""
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    if diagonal_first:
+        pairs = [(i, i) for i in range(d)] + [(i, j) for i, j in pairs if i != j]
+    return {p: k + 1 for k, p in enumerate(pairs)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 32])
+def test_fill_orders_match_pairwise_reference(d):
+    iu = list(zip(*np.triu_indices(d)))
+    for order, diagonal_first in ((row_major_order(d), False), (diagonal_first_order(d), True)):
+        omega = _omega_reference(d, diagonal_first)
+        assert order.d == d
+        assert list(order.positions + 1) == [omega[p] for p in iu]
+        assert not order.positions.flags.writeable
+
+
+def test_fill_order_rejects_non_permutations():
+    m = 6  # d = 3
+    bad = {
+        "duplicate": [0, 1, 2, 3, 4, 4],
+        "above range": [1, 2, 3, 4, 5, 6],
+        "negative": [-1, 1, 2, 3, 4, 5],
+        "too short": [0, 1, 2, 3, 4],
+        "too long": list(range(m + 1)),
+        "two-dimensional": np.arange(m).reshape(2, 3),
+        "float dtype": np.arange(m, dtype=float),
+        "huge unsigned": np.array([0, 1, 2, 3, 4, 2**64 - 1], dtype=np.uint64),
+        "bool dtype": np.ones(m, dtype=bool),
+        "dict": {(0, 0): 1},
+        "scalar": 0,
+    }
+    for name, positions in bad.items():
+        with pytest.raises(InvalidOrder):
+            FillOrder(d=3, positions=positions)
+    for d in (0, -1, 2, 4):
+        with pytest.raises(InvalidOrder):
+            FillOrder(d=d, positions=np.arange(6))
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert list(FillOrder(d=3, positions=np.arange(m, dtype=dtype)).positions) == list(range(m))
+    # a valid permutation is copied, so the caller's array stays its own
+    p = np.arange(m)[::-1].copy()
+    order = FillOrder(d=3, positions=p)
+    p[:] = 0
+    assert list(order.positions) == [5, 4, 3, 2, 1, 0]
+    with pytest.raises(ValueError):
+        order.positions[0] = 1
+
+
+def test_fill_order_dimension_must_match_b():
+    B = CoefficientMatrix(np.ones((3, 3)))
+    chain = two_state_chain(0.5)
+    for order in (row_major_order(2), diagonal_first_order(4)):
+        for run in (lambda: build_markov_matrix(B, order, chain, [1.0, -1.0], seed=1),
+                    lambda: run_matrix_experiment(B, order, chain, [1.0, -1.0],
+                                                  SimConfig(trials=2, master_seed=1))):
+            with pytest.raises(InvalidOrder) as err:
+                run()
+            assert isinstance(err.value, DimensionMismatch)
 
 
 def test_build_matrix_symmetric_and_dominated():
@@ -195,8 +258,8 @@ def _seed_scatter(B, order, chain, f, seed):
     m = (B.d * B.d + B.d) // 2
     path = sample_path(chain, m, seed)
     X = np.zeros((B.d, B.d))
-    for (i, j), k in order.omega.items():
-        x = f[path[k - 1]] * B.entries[i, j]
+    for i, j, k in zip(*np.triu_indices(B.d), order.positions):
+        x = f[path[k]] * B.entries[i, j]
         X[i, j] = x
         X[j, i] = x
     return X
@@ -285,6 +348,26 @@ def test_report_has_slots_and_derived_bounds():
                                    cfg, lam=1.0, gaussian_trials=3)
     assert at_one.bound_by_C == {} and at_one.to_dict()["bound_by_C"] == {}
     assert math.isnan(at_one.fitted_C)
+
+
+def test_report_derives_summary_from_sample_norms():
+    B = CoefficientMatrix(np.ones((5, 5)))
+    cfg = SimConfig(trials=7, master_seed=21)
+    reps = [run_matrix_experiment(B, row_major_order(5), two_state_chain(lam), [1.0, -1.0], cfg,
+                                  lam=lam, gaussian_trials=3) for lam in (0.3, 0.6)]
+    for rep in reps:
+        x = rep.sample_norms
+        assert not x.flags.writeable
+        half = 1.959963984540054 * float(x.std(ddof=1) / math.sqrt(x.size))
+        assert rep.mean_norm == float(x.mean())
+        assert (rep.ci_low, rep.ci_high) == (rep.mean_norm - half, rep.mean_norm + half)
+        sigma, sigma_star = sigma_params(B)
+        b_norm = schatten_norm(B.entries, math.inf)
+        assert (rep.sigma, rep.sigma_star, rep.b_norm) == (sigma, sigma_star, b_norm)
+        gauss = sigma + sigma_star * math.sqrt(math.log(5))
+        assert rep.fitted_C == rep.mean_norm * math.sqrt(1.0 - rep.lam) / gauss
+    # reports on one B share its norms rather than holding copies
+    assert reps[0].sigma is reps[1].sigma and reps[0].b_norm is reps[1].b_norm
 
 
 def test_report_retains_little_memory():

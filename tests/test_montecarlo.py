@@ -10,6 +10,7 @@ from mchoeffding import (
     SimConfig,
     estimate_tail,
     exact_tail,
+    montecarlo,
     sample_path,
     sign_family,
     two_state_chain,
@@ -19,9 +20,13 @@ from mchoeffding import (
 from mchoeffding.chain import FunctionFamily
 from mchoeffding.errors import DimensionMismatch, EmptyInput, OutOfRange
 from mchoeffding.montecarlo import (
+    _BLOCK_DRAWS,
+    _SCAN_WIDTH,
     _block_steps,
     _cdf_table,
+    _scan_walk,
     _step,
+    _steps,
     _tail_table,
     estimate_gaussian_norm,
     estimate_vector_sum_tail,
@@ -325,8 +330,49 @@ def test_streamed_walk_matches_seed_walk(name, trials):
         np.testing.assert_array_equal(simulate_sums(chain, fam, cfg), S)
 
 
-@pytest.mark.parametrize("n_states", [3, 4, 5])
-def test_step_caps_state_above_short_row_sum(n_states):
+_WALK_SIZES = (1, 2, 3, 527, 528)
+
+
+def _last_scanned_trials(n_states, n):
+    """The largest trial count the prefix scan takes: at most _SCAN_WIDTH
+    (trial, state) pairs and _BLOCK_DRAWS map entries."""
+    return min(_SCAN_WIDTH // n_states, _BLOCK_DRAWS // (n * n_states))
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CHAINS))
+def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
+    chain = WALK_CHAINS[name]
+    widest = _SCAN_WIDTH + 1
+    u_all = _reference_uniforms(41, widest, max(_WALK_SIZES))
+    scanned = []
+    monkeypatch.setattr(montecarlo, "_scan_walk",
+                        lambda chain, u: scanned.append(u.shape) or _scan_walk(chain, u))
+    for n in _WALK_SIZES:
+        edge = _last_scanned_trials(chain.n_states, n)
+        assert 1 <= edge < widest
+        for trials in sorted({1, 2, 10, edge, edge + 1}):
+            seeds = trial_seeds(41, trials)
+            u = u_all[:trials, :n]  # trial seeds and counters are prefixes of the wider block
+            ref = seed_walk(chain, u)
+            # both kernels on every size, then the one the rule picks
+            np.testing.assert_array_equal(_scan_walk(chain, uniform_block(seeds, n)), ref)
+            np.testing.assert_array_equal(np.array(list(_steps(chain, seeds, n))).T, ref)
+            scanned.clear()
+            np.testing.assert_array_equal(sample_paths(chain, n, SimConfig(trials, 41)), ref)
+            assert scanned == ([(trials, n)] if trials <= edge else [])
+            # one trial always scans, so past the edge the two calls take different kernels
+            np.testing.assert_array_equal(sample_path(chain, n, int(seeds[-1])), ref[-1])
+            assert scanned[-1] == (1, n)
+    # streamed sums never reach the scan, however few the trials
+    monkeypatch.setattr(montecarlo, "_scan_walk", None)
+    values = np.random.default_rng(0).normal(size=(3, chain.n_states))
+    fam = FunctionFamily(values=values, bounds=np.abs(values).max(axis=1))
+    ref = seed_walk(chain, u_all[:2, :3])
+    np.testing.assert_array_equal(simulate_sums(chain, fam, SimConfig(2, 41)),
+                                  sum(values[i][ref[:, i]] for i in range(3)))
+
+
+def _short_row_sum_chain(n_states):
     # the last row sums to 1 - 5e-10, inside the row-sum tolerance; u above its
     # final cumulative value must land on the last state, as the clip does
     A = np.full((n_states, n_states), 1.0 / n_states)
@@ -337,11 +383,29 @@ def test_step_caps_state_above_short_row_sum(n_states):
     assert top < 1.0
     u = np.array([np.nextafter(top, 1.0), 1.0 - 2.5e-10, 1.0 - 2.0**-53, top, 0.5, 1e-300])
     states = np.full(len(u), n_states - 1)
-    table, bits = _cdf_table(chain.transition)
-    nxt = _step(table, bits, states, u)
     expected = np.clip((u[:, None] > cum[states]).sum(axis=1), 0, n_states - 1)
+    return chain, u, expected
+
+
+@pytest.mark.parametrize("n_states", [3, 4, 5])
+def test_step_caps_state_above_short_row_sum(n_states):
+    chain, u, expected = _short_row_sum_chain(n_states)
+    table, bits = _cdf_table(chain.transition)
+    nxt = _step(table, bits, np.full(len(u), n_states - 1), u)
     np.testing.assert_array_equal(nxt, expected)
     np.testing.assert_array_equal(nxt[:3], n_states - 1)
+
+
+@pytest.mark.parametrize("n_states", [3, 4, 5])
+def test_scan_caps_state_above_short_row_sum(n_states):
+    chain, u, expected = _short_row_sum_chain(n_states)
+    # 1 - 2^-53 starts every trial on the last state and keeps it there for a
+    # step, so the last column reads the test uniforms from the short row
+    top_u = np.full(len(u), 1.0 - 2.0**-53)
+    paths = _scan_walk(chain, np.stack([top_u, top_u, u], axis=1))
+    np.testing.assert_array_equal(paths[:, :2], n_states - 1)
+    np.testing.assert_array_equal(paths[:, 2], expected)
+    np.testing.assert_array_equal(paths[:3, 2], n_states - 1)
 
 
 def test_uniform_block_ranges_concatenate():
