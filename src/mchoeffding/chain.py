@@ -17,7 +17,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
     """Row-stochastic transition matrix paired with its stationary distribution.
 
@@ -33,7 +33,7 @@ class MarkovChain:
         return self.transition.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionFamily:
     """Per-step functions f_i on states with uniform bounds |f_i| <= a_i.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import bound_moment, evaluate_tail_bounds, tail_rows
+from .bounds import _check_u, bound_moment, evaluate_tail_bounds, tail_rows
 from .chain import averaging_operator, load_chain, read_json, two_state_chain
 from .config import DEFAULT_TOL
 from .errors import NumericError, TooLarge, ValidationError
@@ -158,7 +158,8 @@ def _cmd_exact(args, manifest):
         scale = funcs.a_l2
         dist = lattice_distribution(chain, funcs)
         rows = [["u", "threshold", "exact_tail"]] + [
-            [float(u), float(u * scale), dist.tail(u * scale)] for u in parse_grid(args.tail_grid)]
+            [float(u), float(u * scale), dist.tail(u * scale)]
+            for u in _check_u(parse_grid(args.tail_grid), 0.0)]
         _emit(render_csv(manifest, rows), args.output)
         return 0
     table = exact_moments(chain, funcs, args.q)

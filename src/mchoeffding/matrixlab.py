@@ -22,7 +22,7 @@ from .rng import normal_block, trial_seeds
 from .spectral import contraction, spectral_norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
     """Symmetric d x d matrix with positive entries."""
 
@@ -62,7 +62,7 @@ def _upper(d: int) -> np.ndarray:
     return iu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FillOrder:
     """Pair k of np.triu_indices(d) takes path position omega = positions[k] + 1, 1..(d^2+d)/2."""
 
@@ -139,7 +139,7 @@ def schatten_norm(M, p) -> float:
     return float(np.sum(s**p) ** (1.0 / p))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class MatrixExperimentReport:
     """Mean norm, interval and fitted C derive from the read-only `sample_norms` on access."""
 

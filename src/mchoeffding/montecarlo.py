@@ -6,8 +6,9 @@ Determinism contract: every random draw is a pure function of
 fixed configuration regardless of batching.
 
 The walk has two kernels with bit-identical states.  The step loop (`_steps`)
-draws a block of steps at a time into two reused buffers (`rng.uniform_steps`)
-and yields each step's states, so sums hold O(trials * (block + dim X)) memory.
+draws blocks of raw hashes into two reused buffers (`rng.uniform_steps`) and
+yields each step's states, so sums hold O(trials * (block + dim X)) memory.
+Wide, long walks look steps up in a guide table (`_guide`; Chen and Asau, 1974).
 `_paths` takes the prefix scan (`_scan_walk`) for at most _SCAN_WIDTH (trial,
 state) pairs, where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .bounds import evaluate_tail_bounds, tail_rows
 from .chain import FunctionFamily, MarkovChain
 from .errors import DimensionMismatch, EmptyInput, OutOfRange
-from .rng import normal_block, trial_seeds, uniform_block, uniform_steps
+from .rng import _to_unit, normal_block, trial_seeds, uniform_block, uniform_steps
 from .spectral import contraction, spectral_norms
 
 _Z95 = 1.959963984540054
@@ -51,7 +52,7 @@ class SimConfig:
             raise OutOfRange("trials must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailReport:
     u_grid: np.ndarray
     estimates: np.ndarray
@@ -75,6 +76,8 @@ class TailReport:
 _BLOCK_DRAWS = 1 << 16
 _BLOCK_STEPS = 32
 _SCAN_WIDTH = 128
+# A guide table of 2**_GUIDE_BITS entries (128 KB) pays off from these trials and trial-steps.
+_GUIDE_BITS, _GUIDE_TRIALS, _GUIDE_WORK = 14, 1 << 12, 1 << 19
 
 
 def _block_steps(trials: int) -> int:
@@ -98,14 +101,33 @@ def _cdf_table(transition: np.ndarray):
 def _step(table: np.ndarray, bits: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next states: per trial, the number of entries of its table row below u.
 
-    A branchless binary search, one gather per halving of the row width;
-    cumulative rows are non-decreasing, so this equals counting u > cumsum."""
+    A branchless binary search, one gather per halving of the row width from the table
+    offset by h - 1; cumulative rows are non-decreasing, so this counts u > cumsum."""
     pos = states << bits
     h = (1 << bits) >> 1
     while h:
-        pos += (table.take(pos + (h - 1)) < u) * h
+        pos += (table[h - 1:].take(pos, mode="clip") < u) * h
         h >>= 1
     return pos & ((1 << bits) - 1)
+
+
+def _guide(table: np.ndarray, bits: int):
+    """(guide, k): entry (s << k) | b is the next state from s at every hash with top k bits b,
+    or -1 if it differs at the bucket's ends; exact, as `_to_unit` and `_step` are monotone."""
+    k = _GUIDE_BITS - bits
+    states = np.repeat(np.arange(table.size >> bits), 1 << k)
+    low = np.tile(np.arange(1 << k, dtype=np.uint64) << (64 - k), table.size >> bits)
+    first = _step(table, bits, states, _to_unit(low | np.uint64(2**64 - 1) >> k))
+    return np.where(_step(table, bits, states, _to_unit(low)) == first, first, -1), k
+
+
+def _guided_step(table, bits, guide, k, states, z):
+    """`_step` at the uniforms of hashes z: one guide lookup, `_step` only past a -1."""
+    nxt = guide.take(states << k | (z >> (64 - k)).view(np.int64), mode="clip")
+    miss = (nxt < 0).nonzero()[0]
+    if miss.size:
+        nxt[miss] = _step(table, bits, states[miss], _to_unit(z[miss]))
+    return nxt
 
 
 def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
@@ -113,14 +135,20 @@ def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
 
     Trial t uses the counter stream of seeds[t]: its first state inverts the
     stationary CDF at uniform 1, and state k inverts the transition row of
-    state k-1 at uniform k, each used before the next is drawn (`uniform_steps`)."""
+    state k-1 at uniform k, each used before the next is drawn (`uniform_steps`).
+    Wide, long walks of at most 64 states read the guide table (`_guided_step`)."""
     if n < 1:
         raise OutOfRange("n must be at least 1")
-    uniforms = uniform_steps(seeds, n, _block_steps(len(seeds)))
     # searchsorted over all but the last entry caps the first state at N-1
-    first = np.searchsorted(np.cumsum(chain.stationary)[:-1], next(uniforms), side="right")
+    first = np.searchsorted(np.cumsum(chain.stationary)[:-1], uniform_block(seeds, 1)[:, 0],
+                            side="right")
+    blocks = uniform_steps(seeds, n, _block_steps(len(seeds)), start=1)
     table, bits = _cdf_table(chain.transition)
-    return itertools.accumulate(uniforms, functools.partial(_step, table, bits), initial=first)
+    if 2 * bits < _GUIDE_BITS and _GUIDE_TRIALS <= len(seeds) >= _GUIDE_WORK / n:
+        step = functools.partial(_guided_step, table, bits, *_guide(table, bits))
+    else:
+        step, blocks = functools.partial(_step, table, bits), map(_to_unit, blocks)
+    return itertools.accumulate(itertools.chain.from_iterable(blocks), step, initial=first)
 
 
 def _scan_walk(chain: MarkovChain, u: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ MAX_MOMENT_ORDER = 32          # keeps binomial coefficients exact in doubles
 MAX_BRUTE_FORCE_PATHS = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
     """E[S_n^m] for m = 0..q."""
 
@@ -43,7 +43,7 @@ class MomentTable:
         return float(self.moments[m])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """Distribution of S_n supported on base + step * offsets.
 

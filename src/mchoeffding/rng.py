@@ -4,8 +4,8 @@ All simulation randomness is derived by hashing (seed, counter) pairs through
 a 64-bit finalizer (splitmix64).  There is no generator state, so per-trial
 streams are independent of execution order, and any range of a stream's
 counters can be drawn on its own, bit-identical to the same columns of the
-full block.  One in-place mixer serves every draw; `uniform_steps` draws
-counter-major into two buffers reused block after block.
+full block.  One in-place mixer serves every draw; `uniform_steps` yields raw
+hashes counter-major in two reused buffers, for callers to convert as needed.
 """
 
 import numpy as np
@@ -56,15 +56,16 @@ def uniform_block(seeds, stop, start=0):
     return _to_unit(_mix(z, np.empty_like(z)))
 
 
-def uniform_steps(seeds, stop, block):
-    """The columns of uniform_block(seeds, stop) in order, drawn `block` at a time into
-    buffers reused for every block: each is valid until the next is requested."""
+def uniform_steps(seeds, stop, block, start=0):
+    """Columns start..stop-1 of uniform_block(seeds, stop) as raw hashes (`_to_unit` maps them
+    to the uniforms) in (rows, len(seeds)) blocks of up to `block` counters, one per row, all
+    drawn into the same two buffers: each block is valid until the next is requested."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     z, tmp = np.empty((2, block, len(seeds)), dtype=np.uint64)
-    for start in range(0, stop, block):
-        rows = min(block, stop - start)
-        ctr = _GOLDEN * np.arange(start + 2, start + rows + 2, dtype=np.uint64)
-        yield from _to_unit(_mix(np.add.outer(ctr, seeds, out=z[:rows]), tmp[:rows]))
+    for lo in range(start, stop, block):
+        rows = min(block, stop - lo)
+        ctr = _GOLDEN * np.arange(lo + 2, lo + rows + 2, dtype=np.uint64)
+        yield _mix(np.add.outer(ctr, seeds, out=z[:rows]), tmp[:rows])
 
 
 def normal_block(seeds, count):

@@ -14,7 +14,7 @@ from .chain import MarkovChain, averaging_operator
 from .errors import DimensionMismatch, OutOfRange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormContext:
     """Weighting vector for the L_p(pi) norm family."""
 

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchoeffding import (
+    CoefficientMatrix,
+    NormContext,
+    SimConfig,
     averaging_operator,
     contraction,
+    estimate_tail,
+    exact_moments,
+    lattice_distribution,
     make_family,
+    row_major_order,
+    run_matrix_experiment,
     sign_family,
     two_state_chain,
     validate_chain,
@@ -24,6 +32,34 @@ from mchoeffding.errors import (
 )
 
 from conftest import random_chain
+
+
+# every record type that holds an ndarray, built twice from equal inputs
+_ARRAY_RECORDS = {
+    "MarkovChain": lambda: two_state_chain(0.5),
+    "FunctionFamily": lambda: sign_family(4),
+    "NormContext": lambda: NormContext(np.array([0.25, 0.75])),
+    "CoefficientMatrix": lambda: CoefficientMatrix(np.ones((3, 3))),
+    "FillOrder": lambda: row_major_order(3),
+    "MatrixExperimentReport": lambda: run_matrix_experiment(
+        CoefficientMatrix(np.ones((2, 2))), row_major_order(2), two_state_chain(0.5),
+        [1.0, -1.0], SimConfig(trials=3, master_seed=1), gaussian_trials=3),
+    "TailReport": lambda: estimate_tail(two_state_chain(0.5), sign_family(2), [0.0, 1.0],
+                                        SimConfig(trials=10, master_seed=1)),
+    "MomentTable": lambda: exact_moments(two_state_chain(0.5), sign_family(2), 2),
+    "LatticeDistribution": lambda: lattice_distribution(two_state_chain(0.5), sign_family(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity(name):
+    """`==` on a record with ndarray fields is identity: a bool, never an ambiguous
+    array truth value, and the records hash."""
+    a, b = _ARRAY_RECORDS[name](), _ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert (a == a) is True and (a != a) is False
+    assert (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
 
 
 def test_identity_accepts_any_stationary():

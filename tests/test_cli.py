@@ -115,6 +115,15 @@ def test_exact_subcommand_tail(tmp_path, chain_file):
     assert float(lines[1].split(",")[2]) == 1.0
 
 
+@pytest.mark.parametrize("command", ["exact", "simulate"])
+def test_tail_grids_reject_negative_u(tmp_path, chain_file, capsys, command):
+    out = tmp_path / "neg.csv"
+    flag = "--tail-grid" if command == "exact" else "--u-grid"
+    assert main([command, "--chain", chain_file, f"{flag}=-1:1:0.5", "--output", str(out)]) == 1
+    assert "u must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path, chain_file):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["simulate", "--chain", chain_file, "--u-grid", "0:2:1",

@@ -21,9 +21,14 @@ from mchoeffding.chain import FunctionFamily
 from mchoeffding.errors import DimensionMismatch, EmptyInput, OutOfRange
 from mchoeffding.montecarlo import (
     _BLOCK_DRAWS,
+    _GUIDE_BITS,
+    _GUIDE_TRIALS,
+    _GUIDE_WORK,
     _SCAN_WIDTH,
     _block_steps,
     _cdf_table,
+    _guide,
+    _guided_step,
     _scan_walk,
     _step,
     _steps,
@@ -33,7 +38,7 @@ from mchoeffding.montecarlo import (
     sample_paths,
     simulate_sums,
 )
-from mchoeffding.rng import normal_block, splitmix64, trial_seeds, uniform_block
+from mchoeffding.rng import _to_unit, normal_block, splitmix64, trial_seeds, uniform_block
 
 from conftest import random_chain, random_lattice_family, ref_uniforms
 
@@ -406,6 +411,80 @@ def test_scan_caps_state_above_short_row_sum(n_states):
     np.testing.assert_array_equal(paths[:, :2], n_states - 1)
     np.testing.assert_array_equal(paths[:, 2], expected)
     np.testing.assert_array_equal(paths[:3, 2], n_states - 1)
+
+
+def _guide_chains():
+    # row 0 puts three cumulative values below 2^-12, inside the first bucket of a
+    # 4-state guide; dyadic cumulative values fall exactly on bucket edges
+    tiny = np.array([[1e-5, 2e-5, 3e-5, 1 - 6e-5], [0.25] * 4, [0.4, 0.3, 0.2, 0.1],
+                     [0.1, 0.2, 0.3, 0.4]])
+    dyadic = [[0.25, 0.5, 0.25], [0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]
+    rng = np.random.default_rng(64)
+    return {
+        "tiny_probabilities": validate_chain(tiny),
+        "dyadic": _doubly_stochastic(dyadic),
+        "zero_entries": WALK_CHAINS["zero_entries"],
+        "short_row_sum": _short_row_sum_chain(4)[0],
+        "one_state": WALK_CHAINS["one_state"],
+        "random_64": random_chain(rng, 64, min_entry=1e-3),
+        "random_65": random_chain(rng, 65, min_entry=1e-3),  # above 64 states: no guide
+    }
+
+
+GUIDE_CHAINS = _guide_chains()
+
+
+def _count_up_to_last(chain, states, u):
+    """Independent inverse CDF: cumulative entries below u, clipped to the last state."""
+    cum = np.cumsum(chain.transition, axis=1)[states]
+    return np.minimum((u[:, None] > cum).sum(axis=1), chain.n_states - 1)
+
+
+@pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
+def test_guided_step_is_exact_at_bucket_edges(name):
+    """Every state at the smallest and largest hash of every bucket, and one past each."""
+    chain = GUIDE_CHAINS[name]
+    table, bits = _cdf_table(chain.transition)
+    guide, k = _guide(table, bits)
+    assert guide.size == chain.n_states << k and k == _GUIDE_BITS - bits
+    top = np.arange(1 << k, dtype=np.uint64) << (64 - k)
+    edges = np.concatenate([top, top - 1, top | np.uint64(2**64 - 1) >> k, top + 1])
+    states = np.repeat(np.arange(chain.n_states), edges.size)
+    z = np.tile(edges, chain.n_states)
+    np.testing.assert_array_equal(_guided_step(table, bits, guide, k, states, z),
+                                  _count_up_to_last(chain, states, _to_unit(z.copy())))
+    if name == "tiny_probabilities":
+        assert guide[0] == -1 and guide[1] == 3   # three values in bucket 0, none in 1
+    if name == "dyadic":
+        assert guide.min() >= 0                   # every value lies on a bucket edge
+
+
+@pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
+def test_guided_walk_matches_seed_walk(name, monkeypatch):
+    chain = GUIDE_CHAINS[name]
+    trials = max(20_000, _GUIDE_TRIALS)
+    n = -(-_GUIDE_WORK // trials)  # the shortest walk that builds the guide
+    cfg = SimConfig(trials=trials, master_seed=41)
+    ref = seed_walk(chain, _reference_uniforms(cfg.master_seed, trials, n))
+    sizes = []
+    monkeypatch.setattr(montecarlo, "_step", lambda *a: sizes.append(len(a[2])) or _step(*a))
+    np.testing.assert_array_equal(sample_paths(chain, n, cfg), ref)
+    if chain.n_states <= 64:
+        # two calls build the guide on every (state, bucket); any later call is a fallback
+        k = _GUIDE_BITS - (chain.n_states - 1).bit_length()
+        assert sizes[:2] == [chain.n_states << k] * 2
+        assert all(0 < m < trials for m in sizes[2:])
+        assert sizes[2:] or name != "tiny_probabilities"
+    else:
+        assert sizes == [trials] * (n - 1)
+    values = np.random.default_rng(n).normal(size=(n, chain.n_states))
+    fam = FunctionFamily(values=values, bounds=np.abs(values).max(axis=1))
+    np.testing.assert_array_equal(simulate_sums(chain, fam, cfg),
+                                  sum(values[i][ref[:, i]] for i in range(n)))
+    # one step shorter, the walk searches every row, with the same states
+    sizes.clear()
+    np.testing.assert_array_equal(sample_paths(chain, n - 1, cfg), ref[:, :n - 1])
+    assert sizes == [trials] * (n - 2)
 
 
 def test_uniform_block_ranges_concatenate():

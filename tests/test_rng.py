@@ -40,17 +40,20 @@ def test_uniform_block_matches_reference(start, stop):
 
 @pytest.mark.parametrize("trials", [1, 7, 300, 20_000])
 def test_walk_draws_match_reference(trials):
-    """The walk's draws: step k is column k of the reference block, for the
-    walk's own block size and for others, each vector copied before the next
-    is requested (the buffers are reused)."""
+    """The walk's draws: `_to_unit` of row j of the hashes from counter start on is
+    column start + j of the reference block, for the walk's own block size and for
+    others, each block converted in a copy before the next is requested (the buffers
+    are reused)."""
     seeds = trial_seeds(41, trials)
     walk_block = _block_steps(trials)
     n = 2 * walk_block + 3
     ref = ref_uniforms(seeds, n)
-    for block in sorted({1, 2, walk_block, n, n + 4}):
-        got = np.array([u.copy() for u in uniform_steps(seeds, n, block)])
-        np.testing.assert_array_equal(got, ref.T)
-        assert all(u.flags.c_contiguous for u in uniform_steps(seeds, n, block))
+    for start in (0, 1):  # the walk draws its first uniforms apart, from counter 2 on
+        for block in sorted({1, 2, walk_block, n, n + 4}):
+            blocks = [z.copy() for z in uniform_steps(seeds, n, block, start)]
+            assert all(z.dtype == np.uint64 and z.flags.c_contiguous and 1 <= len(z) <= block
+                       for z in blocks)
+            np.testing.assert_array_equal(_to_unit(np.concatenate(blocks)), ref.T[start:])
 
 
 def test_to_unit_is_exact_at_every_boundary():
