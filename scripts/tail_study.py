@@ -31,11 +31,11 @@ def main(argv=None):
     names = sorted(evaluate_tail_bounds([], 0.0))
     rows = [["lambda", "u", "exact_tail"] + names]
     for lam in parse_grid(args.lambdas).tolist():
-        dist = lattice_distribution(two_state_chain(lam), funcs)
+        tails = lattice_distribution(two_state_chain(lam), funcs).tail(u_grid * funcs.a_l2)
         cols = evaluate_tail_bounds(u_grid, lam)
         bound_rows = zip(*(cols[name].tolist() for name in names))
-        for u, bound_row in zip(u_grid.tolist(), bound_rows):
-            rows.append([lam, u, dist.tail(u * funcs.a_l2), *bound_row])
+        for u, tail, bound_row in zip(u_grid.tolist(), tails.tolist(), bound_rows):
+            rows.append([lam, u, tail, *bound_row])
 
     handle = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     csv.writer(handle).writerows(rows)

@@ -86,6 +86,14 @@ def is_vacuous(value):
     return ~(np.asarray(value, dtype=float) < 1.0)
 
 
+def tail_mass(values, thresholds, weights):
+    """Per threshold t, the total weight of the values >= t - 1e-12, summed from the largest
+    value down.  NaN values sort last and should weigh 0; a NaN threshold gets 0."""
+    order = np.argsort(values)
+    suffix = np.append(np.cumsum(weights[order][::-1])[::-1], 0.0)
+    return suffix[np.searchsorted(values[order], thresholds - 1e-12)]
+
+
 def _admissible_sum(x) -> float:
     """Sum over the admissible strings s of length len(x) (endpoints 1, no
     two consecutive zeros) of prod over {j : s_j = 1} of x_j.

@@ -159,16 +159,17 @@ def make_family(values, bounds=None, chain: MarkovChain | None = None,
             raise OutOfRange("|f_i(v)| exceeds its bound a_i")
     fam = FunctionFamily(values=_freeze(V), bounds=_freeze(a))
     if chain is not None:
-        check_mean_zero(fam, chain, tol)
+        check_width(fam, chain)
+        largest = np.abs(fam.values @ chain.stationary).max()
+        if largest > tol.mean_zero:
+            raise NotMeanZero(f"stationary means as large as {largest:.3g}")
     return fam
 
 
-def check_mean_zero(funcs: FunctionFamily, chain: MarkovChain, tol: Tolerances = DEFAULT_TOL):
+def check_width(funcs: FunctionFamily, chain: MarkovChain):
+    """Raise DimensionMismatch unless the function table has one column per state."""
     if funcs.values.shape[1] != chain.n_states:
         raise DimensionMismatch("function table width must match the state count")
-    means = funcs.values @ chain.stationary
-    if np.abs(means).max() > tol.mean_zero:
-        raise NotMeanZero(f"stationary means as large as {np.abs(means).max():.3g}")
 
 
 def averaging_operator(chain: MarkovChain) -> np.ndarray:

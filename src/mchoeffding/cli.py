@@ -24,6 +24,7 @@ from .chain import averaging_operator, load_chain, read_json, two_state_chain
 from .config import DEFAULT_TOL
 from .errors import NumericError, TooLarge, ValidationError
 from .matrixlab import (
+    GAUSSIAN_TRIALS,
     CoefficientMatrix,
     diagonal_first_order,
     row_major_order,
@@ -74,6 +75,9 @@ class RunManifest:
 
 
 MAX_GRID_POINTS = 10**6
+MAX_POWERS = 10**4            # spectral --k
+MAX_TRIALS = 10**7            # simulate --trials
+MAX_MATRIX_DRAWS = 10**7      # matrix: (trials + Gaussian trials) x (d^2 + d) / 2 entries
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -128,8 +132,8 @@ def render_json(manifest: RunManifest, data) -> str:
 
 
 def _cmd_spectral(args, manifest):
-    if args.k < 0:
-        raise ValidationError(f"--k must be nonnegative, got {args.k}")
+    if not 0 <= args.k <= MAX_POWERS:
+        raise TooLarge(f"--k must lie in 0..{MAX_POWERS}, got {args.k}")
     chain, _ = load_chain(args.chain)
     lam = contraction(chain)
     data = {"lambda": lam, "exceeds_one": bool(lam >= 1.0), "n_states": chain.n_states}
@@ -155,11 +159,10 @@ def _cmd_exact(args, manifest):
     if funcs is None:
         raise ValidationError("chain file must carry a 'functions' block for `exact`")
     if args.tail_grid:
-        scale = funcs.a_l2
-        dist = lattice_distribution(chain, funcs)
-        rows = [["u", "threshold", "exact_tail"]] + [
-            [float(u), float(u * scale), dist.tail(u * scale)]
-            for u in _check_u(parse_grid(args.tail_grid), 0.0)]
+        u = _check_u(parse_grid(args.tail_grid), 0.0)
+        t = u * funcs.a_l2
+        tails = lattice_distribution(chain, funcs).tail(t)
+        rows = [["u", "threshold", "exact_tail"], *zip(u.tolist(), t.tolist(), tails.tolist())]
         _emit(render_csv(manifest, rows), args.output)
         return 0
     table = exact_moments(chain, funcs, args.q)
@@ -169,6 +172,8 @@ def _cmd_exact(args, manifest):
 
 
 def _cmd_simulate(args, manifest):
+    if args.trials > MAX_TRIALS:
+        raise TooLarge(f"--trials {args.trials} exceeds the cap {MAX_TRIALS}")
     chain, funcs = load_chain(args.chain)
     if funcs is None:
         raise ValidationError("chain file must carry a 'functions' block for `simulate`")
@@ -185,19 +190,21 @@ def _cmd_simulate(args, manifest):
 
 
 def _cmd_matrix(args, manifest):
-    if args.b:
-        B = CoefficientMatrix(read_json(args.b))
-    elif args.d < 1:
-        raise ValidationError(f"--d must be at least 1, got {args.d}")
-    elif args.pattern == "all-ones":
-        B = CoefficientMatrix(np.ones((args.d, args.d)))
-    else:
-        # symmetric uniform(0,1] entries from the seeded stream, seed mod 2^64
-        u = uniform_block([(args.seed ^ 0xB0B0) % 2**64], args.d * args.d).reshape(args.d, args.d)
-        B = CoefficientMatrix((u + u.T) / 2.0 + 1e-3)
-    order = diagonal_first_order(B.d) if args.order == "diagonal-first" else row_major_order(B.d)
-    chain = two_state_chain(args.lam)
     cfg = SimConfig(trials=args.trials, master_seed=args.seed)
+    B = CoefficientMatrix(read_json(args.b)) if args.b else None
+    d = B.d if args.b else args.d
+    if d < 1:
+        raise ValidationError(f"--d must be at least 1, got {d}")
+    if (cfg.trials + GAUSSIAN_TRIALS) * (d * d + d) // 2 > MAX_MATRIX_DRAWS:
+        raise TooLarge(f"{cfg.trials} + {GAUSSIAN_TRIALS} matrices of d = {d} exceed the cap")
+    if not args.b and args.pattern == "all-ones":
+        B = CoefficientMatrix(np.ones((d, d)))
+    elif not args.b:
+        # symmetric uniform(0,1] entries from the seeded stream, seed mod 2^64
+        u = uniform_block([(args.seed ^ 0xB0B0) % 2**64], d * d).reshape(d, d)
+        B = CoefficientMatrix((u + u.T) / 2.0 + 1e-3)
+    order = diagonal_first_order(d) if args.order == "diagonal-first" else row_major_order(d)
+    chain = two_state_chain(args.lam)
     manifest.lap("setup")
     report = run_matrix_experiment(B, order, chain, [1.0, -1.0], cfg, lam=args.lam)
     manifest.lap("experiment")

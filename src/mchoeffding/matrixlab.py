@@ -21,6 +21,8 @@ from .montecarlo import SimConfig, _mean_interval, sample_path, sample_paths
 from .rng import normal_block, trial_seeds
 from .spectral import contraction, spectral_norms
 
+GAUSSIAN_TRIALS = 200   # Gaussian-counterpart matrices per experiment
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
@@ -197,7 +199,7 @@ def gaussian_counterpart_mean(B: CoefficientMatrix, trials: int, seed: int) -> f
 def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovChain,
                           f_values, cfg: SimConfig, lam: float | None = None,
                           C_grid=(0.5, 1.0, 2.0, 4.0),
-                          gaussian_trials: int = 200) -> MatrixExperimentReport:
+                          gaussian_trials: int = GAUSSIAN_TRIALS) -> MatrixExperimentReport:
     """Sample `cfg.trials` Markov-filled matrices and report mean spectral norm,
     the Corollary-style bound over a C-grid, the fitted minimal C, and the
     Gaussian-counterpart mean.

@@ -1,5 +1,6 @@
 """Seeded trajectory simulation: tail estimates with Wilson intervals and
-Gaussian baselines for the vector-valued comparison.
+Gaussian baselines for the vector-valued comparison.  Hit counts come from
+`bounds.tail_mass`, the query the exact tails use, with one weight per trial.
 
 Determinism contract: every random draw is a pure function of
 (master_seed, trial index, step counter), so reports are bit-identical for a
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import evaluate_tail_bounds, tail_rows
+from .bounds import evaluate_tail_bounds, tail_mass, tail_rows
 from .chain import FunctionFamily, MarkovChain
 from .errors import DimensionMismatch, EmptyInput, OutOfRange
 from .rng import _to_unit, normal_block, trial_seeds, uniform_block, uniform_steps
@@ -198,13 +199,9 @@ def simulate_sums(chain: MarkovChain, funcs: FunctionFamily, cfg: SimConfig) -> 
 
 
 def _tail_table(values: np.ndarray, thresholds: np.ndarray):
-    """Per threshold t: the fraction of values >= t - 1e-12 and its Wilson interval.
-
-    One sort plus searchsorted gives the same hit counts as comparing every
-    value against every threshold; NaN values count as misses either way."""
-    v = np.sort(values)
-    not_nan = np.searchsorted(v, np.inf, side="right")  # np.sort puts NaN last
-    hits = not_nan - np.searchsorted(v, thresholds - 1e-12, side="left")
+    """Per threshold t: the fraction of values >= t - 1e-12 and its Wilson interval; a NaN
+    value weighs 0, so it misses, and the sums of ones are exact integers in float64."""
+    hits = tail_mass(values, thresholds, 1.0 - np.isnan(values))
     trials = len(values)
     ci = np.array([wilson_interval(int(h), trials) for h in hits]).reshape(-1, 2)
     return hits / trials, ci[:, 0], ci[:, 1]

@@ -1,6 +1,7 @@
 """Exact oracles for S_n = sum_i f_i(Y_i): moments, MGF, monomial expectations,
 and full lattice tail distributions via transfer-operator dynamic programming,
-with brute-force trajectory enumeration as the oracle of oracles.
+with brute-force trajectory enumeration as the oracle of oracles.  A distribution
+answers a whole threshold grid with one `bounds.tail_mass` query (one sort).
 
 The enumeration never builds a (N^n, n) array of paths.  It broadcasts one
 step at a time: the path probabilities live in an (N,)*n array whose axis i
@@ -16,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import _admissible_sum, _check_w
-from .chain import FunctionFamily, MarkovChain
+from .bounds import _admissible_sum, _check_w, _value, tail_mass
+from .chain import FunctionFamily, MarkovChain, check_width
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     DimensionMismatch,
@@ -60,12 +61,10 @@ class LatticeDistribution:
     def support(self):
         return self.base + self.step * self.offsets
 
-    def tail(self, threshold: float) -> float:
-        """Pr[|S_n| >= threshold], inclusive at lattice points (1e-12 slack)."""
-        if threshold <= 0:
-            return 1.0
-        mask = np.abs(self.support) >= threshold - 1e-12
-        return float(self.probabilities[mask].sum())
+    def tail(self, threshold):
+        """Pr[|S_n| >= threshold], a float or an array (`tail_mass`); 1.0 where threshold <= 0."""
+        t = np.asarray(threshold, dtype=float)
+        return _value(np.where(t <= 0, 1.0, tail_mass(abs(self.support), t, self.probabilities)))
 
     def moment(self, m: int) -> float:
         return float(np.sum(self.probabilities * self.support**m))
@@ -74,18 +73,13 @@ class LatticeDistribution:
         return float(np.sum(self.probabilities * np.exp(theta * self.support)))
 
 
-def _shape_check(chain: MarkovChain, funcs: FunctionFamily):
-    if funcs.values.shape[1] != chain.n_states:
-        raise DimensionMismatch("function table width must match the state count")
-
-
 def exact_monomial_expectation(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
     """E[f_{w_1}(Y_{w_1}) ... f_{w_q}(Y_{w_q})] for nondecreasing 1-based w.
 
     Transfer recursion: start from pi weighted by the first function, push
     through A^{gap} between consecutive indices, reweight, and sum.
     """
-    _shape_check(chain, funcs)
+    check_width(funcs, chain)
     w = _check_w(w, funcs.n_steps)
     A = chain.transition
     p = chain.stationary * funcs.values[w[0] - 1]
@@ -109,7 +103,7 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
     4e-15 relative to (sum_i a_i)^m only: on the 1-state chain with f = 3, -3,
     3, -3, 3, -4 (S_n = -1) E[S_n^24] comes out as 2048, not 1.
     """
-    _shape_check(chain, funcs)
+    check_width(funcs, chain)
     if q < 0:
         raise TooLarge("q must be nonnegative")
     if q > MAX_MOMENT_ORDER:
@@ -135,7 +129,7 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
 
 def exact_mgf(chain: MarkovChain, funcs: FunctionFamily, theta: float) -> float:
     """E[exp(theta S_n)] by the weighted transfer recursion."""
-    _shape_check(chain, funcs)
+    check_width(funcs, chain)
     A = chain.transition
     with np.errstate(over="ignore", invalid="ignore"):
         p = chain.stationary * np.exp(theta * funcs.values[0])
@@ -179,7 +173,7 @@ def _lattice_decomposition(funcs: FunctionFamily, tol: Tolerances):
 def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily,
                          tol: Tolerances = DEFAULT_TOL) -> LatticeDistribution:
     """Exact distribution of S_n by DP over (state, accumulated lattice index)."""
-    _shape_check(chain, funcs)
+    check_width(funcs, chain)
     pitch, base, K = _lattice_decomposition(funcs, tol)
     N = chain.n_states
     if pitch is None:
@@ -241,7 +235,7 @@ def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
     """Enumerate all N^n trajectories; the independent ground truth for every
     transfer-DP oracle.  Shares only the lattice representation of the f
     values, never the DP recursion."""
-    _shape_check(chain, funcs)
+    check_width(funcs, chain)
     pitch, base, K = _lattice_decomposition(funcs, tol)
     probs = _path_probabilities(chain, funcs.n_steps)
     if pitch is None:
@@ -256,6 +250,7 @@ def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
 
 def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
     """E[prod_i f_{w_i}(Y_{w_i})] by trajectory enumeration up to max(w) steps."""
+    check_width(funcs, chain)
     w = _check_w(w, funcs.n_steps)
     n = w[-1]
     probs = _path_probabilities(chain, n)

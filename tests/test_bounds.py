@@ -18,6 +18,7 @@ from mchoeffding.bounds import (
     _admissible_sum,
     evaluate_tail_bounds,
     is_vacuous,
+    tail_mass,
 )
 from mchoeffding.errors import LambdaGeOne, NegativeU, OddQ, OutOfRange, Unsorted
 
@@ -220,3 +221,39 @@ def test_evaluate_tail_bounds_columns():
             np.testing.assert_array_max_ulp(vals, [fn(x) for x in u.tolist()], maxulp=1)
             if name in cols:
                 np.testing.assert_array_equal(cols[name], vals)
+
+
+# --- tail_mass against a mask-and-sum -------------------------------------------
+
+def _masked_fsum(values, threshold, weights):
+    return math.fsum(weights[values >= threshold - 1e-12])
+
+
+def test_tail_mass_matches_mask_and_fsum(rng):
+    values = np.abs(rng.integers(-20, 21, size=500)) * 0.25
+    weights = rng.random(500)
+    weights[:40] = 0.0
+    values[40:60] = np.nan
+    weights[40:60] = 0.0
+    values[60:63] = np.inf
+    point = 2.5
+    thresholds = np.array([point, point + 1e-12, point - 1e-12, np.nextafter(point, 0.0), 0.0,
+                           -1.0, 1e-13, -np.inf, np.inf, np.nan, 5.0, 5.25, 100.0])
+    got = tail_mass(values, thresholds, weights)
+    for t, g in zip(thresholds, got):
+        want = _masked_fsum(values, t, weights)
+        assert abs(g - want) <= 1e-13 * want, (t, g, want)
+    assert got[8] == math.fsum(weights[60:63])                # t = inf: the inf values only
+    assert got[9] == 0.0                                      # NaN threshold
+    unit = 1.0 - np.isnan(values)                             # counts are exact in float64
+    np.testing.assert_array_equal(tail_mass(values, thresholds, unit),
+                                  [np.sum(values >= t - 1e-12) for t in thresholds])
+
+
+def test_tail_mass_scalar_threshold_and_empty_input():
+    values, weights = np.array([3.0, 1.0, 2.0]), np.array([0.5, 0.25, 0.125])
+    assert tail_mass(values, 2.0, weights) == 0.625
+    assert tail_mass(values, 2.0 + 1e-12, weights) == 0.625  # 1e-12 slack: inclusive
+    assert tail_mass(values, 2.0 + 1e-9, weights) == 0.5
+    np.testing.assert_array_equal(tail_mass(np.array([]), np.array([0.0, 1.0]), np.array([])),
+                                  [0.0, 0.0])

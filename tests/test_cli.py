@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,38 @@ def test_exact_subcommand_tail(tmp_path, chain_file):
     lines = data_section(out)
     assert lines[0] == "u,threshold,exact_tail"
     assert float(lines[1].split(",")[2]) == 1.0
+
+
+def test_exact_tail_grid_queries_the_distribution_once(tmp_path, chain_file, monkeypatch):
+    calls = []
+    tail = mchoeffding.oracle.LatticeDistribution.tail
+    monkeypatch.setattr(mchoeffding.oracle.LatticeDistribution, "tail",
+                        lambda self, t: calls.append(np.shape(t)) or tail(self, t))
+    out = tmp_path / "t.csv"
+    assert main(["exact", "--chain", chain_file, "--tail-grid", "0:2:0.25",
+                 "--output", str(out)]) == 0
+    assert calls == [(9,)]
+    assert len(data_section(out)) == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--k", "100000000"],
+    ["simulate", "--u-grid", "0:1:1", "--trials", "10000000000"],
+    ["matrix", "--d", "100000"],
+    ["matrix", "--d", "500", "--trials", "1"],  # over the cap only with the Gaussian matrices
+], ids=["spectral_k", "simulate_trials", "matrix_d", "matrix_gaussian"])
+def test_oversized_inputs_exit_one_before_allocating(chain_file, capsys, argv):
+    if argv[0] != "matrix":
+        argv = argv[:1] + ["--chain", chain_file] + argv[1:]
+    build_parser()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["exact", "simulate"])

@@ -362,3 +362,43 @@ def test_diagonal_chain_claim(rng):
         Ts = [rng.normal(size=(n, n)) for _ in range(k - 1)]
         lhs, rhs = evaluate_diagonal_chain_claim(pi, us, Ts)
         assert lhs <= rhs + 1e-9
+
+
+# --- function-table width and the array tail query ------------------------------
+
+@pytest.mark.parametrize("oracle", [
+    lambda c, f: exact_monomial_expectation(c, f, [1, 2]),
+    lambda c, f: exact_moments(c, f, 2),
+    lambda c, f: exact_mgf(c, f, 0.1),
+    lambda c, f: lattice_distribution(c, f),
+    lambda c, f: brute_force_distribution(c, f),
+    lambda c, f: brute_force_monomial(c, f, [1, 2]),
+], ids=["monomial", "moments", "mgf", "lattice", "brute_force", "brute_force_monomial"])
+@pytest.mark.parametrize("values", [[[2.0], [3.0]], [[1.0, 0.0, -1.0], [1.0, 0.0, -1.0]]],
+                         ids=["width1", "width3"])
+def test_every_oracle_rejects_a_function_table_of_the_wrong_width(oracle, values):
+    with pytest.raises(DimensionMismatch, match="width must match the state count"):
+        oracle(two_state_chain(0.5), make_family(values))
+
+
+def test_array_tail_equals_scalar_tails(rng):
+    chain = random_chain(rng, 3)
+    funcs = random_lattice_family(rng, chain, 6)
+    dist = lattice_distribution(chain, funcs)
+    t = np.concatenate([np.abs(dist.support), np.linspace(-1.0, 8.0, 37), [np.inf, np.nan]])
+    got = dist.tail(t)
+    assert isinstance(dist.tail(1.0), float)
+    np.testing.assert_array_equal(got, [dist.tail(float(x)) for x in t])
+    assert np.all(got[t <= 0] == 1.0)
+
+
+def test_deep_tails_keep_relative_precision():
+    """Tails down to about 1e-46: every positive lattice threshold within 1e-13 of an
+    exactly rounded sum of the same probabilities."""
+    dist = lattice_distribution(two_state_chain(0.9), sign_family(2048))
+    support = np.abs(dist.support)
+    t = np.unique(support[support > 0])
+    got = dist.tail(t)
+    want = np.array([math.fsum(dist.probabilities[support >= x - 1e-12]) for x in t])
+    assert want.min() < 1e-25
+    np.testing.assert_array_less(np.abs(got - want), 1e-13 * want)
