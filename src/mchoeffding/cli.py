@@ -50,6 +50,7 @@ class RunManifest:
     version: str
     started: float = 0.0
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # like timings, outside the data section
 
     @property
     def duration_s(self) -> float:
@@ -62,11 +63,12 @@ class RunManifest:
         self.timings[stage] = self.duration_s - sum(self.timings.values())
 
     def timed_dict(self):
-        """stable_dict and duration_s, and the timings (render ends now) once lapped."""
-        if not self.timings:
-            return dict(self.stable_dict(), duration_s=self.duration_s)
-        self.lap("render")
-        return dict(self.stable_dict(), duration_s=self.duration_s, timings=self.timings)
+        """stable_dict, duration_s, and the timings (render ends now) and diagnostics if set."""
+        if self.timings:
+            self.lap("render")
+        blocks = {"timings": self.timings, "diagnostics": self.diagnostics}
+        blocks = {k: v for k, v in blocks.items() if v}
+        return dict(self.stable_dict(), duration_s=self.duration_s, **blocks)
 
     def stable_dict(self):
         return {"subcommand": self.subcommand, "input": self.input_path,
@@ -121,7 +123,7 @@ def render_csv(manifest: RunManifest, rows) -> str:
     body = "".join(",".join(map(str, row)) + "\n" for row in rows)  # str(float) is its repr
     m = dict(manifest.timed_dict(), manifest=manifest.stable_dict())
     return "".join(f"# {k}: {json.dumps(m[k], sort_keys=True)}\n"
-                   for k in ("manifest", "duration_s", "timings") if k in m) + body
+                   for k in ("manifest", "duration_s", "timings", "diagnostics") if k in m) + body
 
 
 def render_json(manifest: RunManifest, data) -> str:
@@ -180,6 +182,8 @@ def _cmd_simulate(args, manifest):
     manifest.lap("load")
     cfg = SimConfig(trials=args.trials, master_seed=args.seed)
     report = estimate_tail(chain, funcs, parse_grid(args.u_grid), cfg)
+    hits = np.rint(report.estimates * cfg.trials).astype(int)  # behind each Wilson interval
+    manifest.diagnostics.update(trials=cfg.trials, tail_hits=hits.tolist())
     manifest.lap("simulate")
     rows = report.rows()
     data = {"columns": rows[0], "rows": rows[1:], "lambda": report.lam}

@@ -6,9 +6,9 @@ Determinism contract: every random draw is a pure function of
 (master_seed, trial index, step counter), so reports are bit-identical for a
 fixed configuration regardless of batching.
 
-The walk has two kernels with bit-identical states.  The step loop (`_steps`)
-draws blocks of raw hashes into two reused buffers (`rng.uniform_steps`) and
-yields each step's states, so sums hold O(trials * (block + dim X)) memory.
+Both walk kernels compare hash mantissas with integer CDF thresholds (`_thresholds`)
+and agree bit for bit.  The step loop (`_steps`) yields each step's states from hash
+blocks in two reused buffers (`rng.uniform_steps`): O(trials * (block + dim X)) memory.
 Wide, long walks look steps up in a guide table (`_guide`; Chen and Asau, 1974).
 `_paths` takes the prefix scan (`_scan_walk`) for at most _SCAN_WIDTH (trial,
 state) pairs, where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import evaluate_tail_bounds, tail_mass, tail_rows
 from .chain import FunctionFamily, MarkovChain
 from .errors import DimensionMismatch, EmptyInput, OutOfRange
-from .rng import _to_unit, normal_block, trial_seeds, uniform_block, uniform_steps
+from .rng import _finish, _mantissa, hash_block, normal_block, trial_seeds, uniform_steps
 from .spectral import contraction, spectral_norms
 
 _Z95 = 1.959963984540054
@@ -85,49 +85,62 @@ def _block_steps(trials: int) -> int:
     return max(1, min(_BLOCK_STEPS, _BLOCK_DRAWS // trials))
 
 
-def _cdf_table(transition: np.ndarray):
-    """Flat cumulative rows padded to a power-of-two width, +inf from column N-1 on.
+def _thresholds(c: np.ndarray) -> np.ndarray:
+    """Mantissas m = hash >> 12 map to uniforms u = (2m + 1) 2^-53 (`rng._to_unit`), and u > c
+    exactly when m >= (floor(c 2^53) + 1) // 2, computed exactly as c 2^53 is."""
+    return (np.floor(c * 2.0**53).astype(np.int64) + 1) >> 1
 
-    Returns (table, bits) with width 2**bits.  Replacing the last cumulative
-    value by +inf caps the count of entries below u at N-1, which is the clip
-    the inverse CDF needs when a row sums to slightly less than 1."""
+
+def _first_states(chain: MarkovChain, m: np.ndarray) -> np.ndarray:
+    """States at mantissas m: the count of stationary CDF values c <= u, or u > nextafter(c, -1)."""
+    cum = np.nextafter(np.cumsum(chain.stationary)[:-1], -1.0)  # all but the last: cap at N-1
+    return np.searchsorted(_thresholds(cum), m, side="right")
+
+
+def _cdf_table(transition: np.ndarray):
+    """Flat `_thresholds` of the cumulative rows padded to a power-of-two width, 2^53 (above
+    every mantissa) from column N-1 on.
+
+    Returns (table, bits) with width 2**bits.  The cap limits the count of entries
+    below u to N-1, which is the clip the inverse CDF needs when a row sums to
+    slightly less than 1."""
     cum = np.cumsum(transition, axis=1)
     n = cum.shape[1]
     bits = (n - 1).bit_length()
-    table = np.full((n, 1 << bits), np.inf)
-    table[:, :n - 1] = cum[:, :n - 1]
+    table = np.full((n, 1 << bits), 1 << 53)
+    table[:, :n - 1] = _thresholds(cum[:, :n - 1])
     return table.ravel(), bits
 
 
-def _step(table: np.ndarray, bits: int, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next states: per trial, the number of entries of its table row below u.
+def _step(table: np.ndarray, bits: int, states: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Next states: per trial, the number of thresholds of its table row at most mantissa m.
 
     A branchless binary search, one gather per halving of the row width from the table
-    offset by h - 1; cumulative rows are non-decreasing, so this counts u > cumsum."""
+    offset by h - 1; threshold rows are non-decreasing, so this counts u > cumsum."""
     pos = states << bits
     h = (1 << bits) >> 1
     while h:
-        pos += (table[h - 1:].take(pos, mode="clip") < u) * h
+        pos += (table[h - 1:].take(pos, mode="clip") <= m) * h
         h >>= 1
     return pos & ((1 << bits) - 1)
 
 
 def _guide(table: np.ndarray, bits: int):
-    """(guide, k): entry (s << k) | b is the next state from s at every hash with top k bits b,
-    or -1 if it differs at the bucket's ends; exact, as `_to_unit` and `_step` are monotone."""
+    """(guide, k): entry (s << k) | b is the next state from s at every mantissa with top k
+    bits b, or -1 if it differs at the bucket's ends; exact, as `_step` is monotone in m."""
     k = _GUIDE_BITS - bits
     states = np.repeat(np.arange(table.size >> bits), 1 << k)
-    low = np.tile(np.arange(1 << k, dtype=np.uint64) << (64 - k), table.size >> bits)
-    first = _step(table, bits, states, _to_unit(low | np.uint64(2**64 - 1) >> k))
-    return np.where(_step(table, bits, states, _to_unit(low)) == first, first, -1), k
+    low = np.tile(np.arange(1 << k) << (52 - k), table.size >> bits)
+    first = _step(table, bits, states, low | (1 << (52 - k)) - 1)
+    return np.where(_step(table, bits, states, low) == first, first, -1), k
 
 
 def _guided_step(table, bits, guide, k, states, z):
-    """`_step` at the uniforms of hashes z: one guide lookup, `_step` only past a -1."""
+    """`_step` at `_premix` hashes z: one lookup by their final top k bits, `_step` past a -1."""
     nxt = guide.take(states << k | (z >> (64 - k)).view(np.int64), mode="clip")
     miss = (nxt < 0).nonzero()[0]
     if miss.size:
-        nxt[miss] = _step(table, bits, states[miss], _to_unit(z[miss]))
+        nxt[miss] = _step(table, bits, states[miss], _mantissa(_finish(z[miss])))
     return nxt
 
 
@@ -140,27 +153,26 @@ def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
     Wide, long walks of at most 64 states read the guide table (`_guided_step`)."""
     if n < 1:
         raise OutOfRange("n must be at least 1")
-    # searchsorted over all but the last entry caps the first state at N-1
-    first = np.searchsorted(np.cumsum(chain.stationary)[:-1], uniform_block(seeds, 1)[:, 0],
-                            side="right")
-    blocks = uniform_steps(seeds, n, _block_steps(len(seeds)), start=1)
+    first = _first_states(chain, _mantissa(hash_block(seeds, 1)[:, 0]))
+    rows = _block_steps(len(seeds))
+    blocks = uniform_steps(seeds, n, rows, start=1)
     table, bits = _cdf_table(chain.transition)
     if 2 * bits < _GUIDE_BITS and _GUIDE_TRIALS <= len(seeds) >= _GUIDE_WORK / n:
         step = functools.partial(_guided_step, table, bits, *_guide(table, bits))
     else:
-        step, blocks = functools.partial(_step, table, bits), map(_to_unit, blocks)
+        step, tmp = functools.partial(_step, table, bits), np.empty((rows, len(seeds)), np.uint64)
+        blocks = (_mantissa(_finish(z, tmp[:len(z)])) for z in blocks)
     return itertools.accumulate(itertools.chain.from_iterable(blocks), step, initial=first)
 
 
-def _scan_walk(chain: MarkovChain, u: np.ndarray) -> np.ndarray:
-    """(trials, n) states read off a (trials, n) uniform block, equal to the step loop's: every
+def _scan_walk(chain: MarkovChain, m: np.ndarray) -> np.ndarray:
+    """(trials, n) states read off a (trials, n) mantissa block, equal to the step loop's: every
     step maps all N states at once (`_step`), and a Hillis-Steele scan composes the maps."""
-    (trials, n), N = u.shape, chain.n_states
+    (trials, n), N = m.shape, chain.n_states
     table, bits = _cdf_table(chain.transition)
     maps = np.empty((n, trials, N), dtype=np.int64)
-    # step 1 maps every state to the first state, capped at N-1 as in `_steps`
-    maps[0] = np.searchsorted(np.cumsum(chain.stationary)[:-1], u[:, :1], side="right")
-    maps[1:] = _step(table, bits, np.broadcast_to(np.arange(N), maps[1:].shape), u.T[1:, :, None])
+    maps[0] = _first_states(chain, m[:, :1])  # step 1 maps every state to the first state
+    maps[1:] = _step(table, bits, np.broadcast_to(np.arange(N), maps[1:].shape), m.T[1:, :, None])
     # map (k, t) sends s to (k*trials + t)*N + target: row k after row k - span is one take
     maps += np.arange(0, maps.size, N).reshape(n, trials, 1)
     span = 1
@@ -175,7 +187,7 @@ def _paths(chain: MarkovChain, seeds: np.ndarray, n: int) -> np.ndarray:
     of the step-major array that `_steps` fills one row at a time."""
     width = len(seeds) * chain.n_states
     if width <= _SCAN_WIDTH and 0 < n * width <= _BLOCK_DRAWS:  # n < 1: `_steps` raises
-        return _scan_walk(chain, uniform_block(seeds, n))
+        return _scan_walk(chain, _mantissa(hash_block(seeds, n)))
     return np.fromiter(_steps(chain, seeds, n), np.dtype((np.int64, len(seeds))), n).T
 
 
@@ -194,7 +206,7 @@ def simulate_sums(chain: MarkovChain, funcs: FunctionFamily, cfg: SimConfig) -> 
     seeds = trial_seeds(cfg.master_seed, cfg.trials)
     S = np.zeros(cfg.trials)
     for f, states in zip(funcs.values, _steps(chain, seeds, funcs.n_steps)):
-        S += f[states]
+        np.add(S, f.take(states), out=S)
     return S
 
 

@@ -31,6 +31,7 @@ from .spectral import NormContext, opnorm
 
 MAX_MOMENT_ORDER = 32          # keeps binomial coefficients exact in doubles
 MAX_BRUTE_FORCE_PATHS = 10**7
+MAX_LATTICE_POINTS = 4 * 10**7  # (state, index) cells of the lattice DP; index span of both
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +166,11 @@ def _lattice_decomposition(funcs: FunctionFamily, tol: Tolerances):
     den_lcm = math.lcm(*(f.denominator for f in nonzero))
     ints = [f.numerator * (den_lcm // f.denominator) for f in fracs]
     g = math.gcd(*ints)
+    ks = [i // g for i in ints]
+    if max(map(abs, ks)) > MAX_LATTICE_POINTS:  # before the int64 conversion can overflow
+        raise TooLarge(f"lattice indices span more than {MAX_LATTICE_POINTS} points")
     pitch = Fraction(g, den_lcm)
-    K = (np.array(ints, dtype=np.int64) // g)[inverse].reshape(diffs.shape)
+    K = np.array(ks, dtype=np.int64)[inverse].reshape(diffs.shape)
     return pitch, base, K
 
 
@@ -183,7 +187,7 @@ def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily,
     lo = int(np.minimum(K, 0).min(axis=1).sum())
     hi = int(np.maximum(K, 0).max(axis=1).sum())
     width = hi - lo + 1
-    if width * N > 4 * 10**7:
+    if width * N > MAX_LATTICE_POINTS:
         raise TooLarge(f"lattice support of {width} points is too wide for the exact DP")
     # D[v, idx]: Pr[Y_k = v, sum index = idx + lo]
     D = np.zeros((N, width))

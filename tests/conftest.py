@@ -35,6 +35,14 @@ def random_lattice_family(rng, chain, n, span=2):
     return make_family(centered, chain=chain)
 
 
+def prime_reciprocal_values(n):
+    """(n, 2) values +-1/p_i over the primes 907..997 in turn, mean zero on a symmetric
+    two-state chain: each difference 2/p_i is rational, but the LCM of the
+    denominators is about 10^41, past int64."""
+    primes = [p for p in range(907, 998) if all(p % d for d in range(2, 32))]
+    return [[1.0 / p, -1.0 / p] for p in itertools.islice(itertools.cycle(primes), n)]
+
+
 def brute_force_strings(k):
     """Every admissible string of length k: endpoints 1, no two consecutive zeros."""
     out = set()

@@ -9,18 +9,23 @@ import numpy as np
 import pytest
 
 from mchoeffding import (
+    SimConfig,
     bound_fjs,
     bound_healy,
     bound_iid_hoeffding,
     bound_rao,
+    estimate_tail,
     exact_moments,
     sign_family,
     two_state_chain,
+    wilson_interval,
 )
-from mchoeffding.chain import chain_to_dict
+from mchoeffding.chain import chain_to_dict, load_chain
 import mchoeffding
 from mchoeffding.cli import build_parser, main, parse_grid
 from mchoeffding.errors import ValidationError
+
+from conftest import prime_reciprocal_values
 
 
 @pytest.fixture
@@ -208,9 +213,9 @@ def test_simulate_reports_stage_timings(tmp_path, chain_file):
     argv = ["simulate", "--chain", chain_file, "--u-grid", "0:2:1", "--trials", "200"]
     csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
     assert main(argv + ["--output", str(csv_out)]) == 0
-    head = csv_out.read_text().splitlines()[:4]
+    head = csv_out.read_text().splitlines()[:5]
     assert head[1].startswith("# duration_s: ") and head[2].startswith("# timings: ")
-    assert head[3].startswith("u,")
+    assert head[3].startswith("# diagnostics: ") and head[4].startswith("u,")
     timings = json.loads(head[2][len("# timings: "):])
     assert set(timings) == stages and min(timings.values()) >= 0.0
     assert sum(timings.values()) <= float(head[1][len("# duration_s: "):])
@@ -222,6 +227,33 @@ def test_simulate_reports_stage_timings(tmp_path, chain_file):
     bounds_out = tmp_path / "b.csv"
     assert main(["bounds", "--u-grid", "0:1:1", "--lambda", "0", "--output", str(bounds_out)]) == 0
     assert not any(ln.startswith("# timings") for ln in bounds_out.read_text().splitlines())
+
+
+def test_simulate_diagnostics_hold_the_hit_counts(tmp_path, chain_file):
+    """The hit count behind each Wilson interval sits next to the timings, and the data
+    section is the rows of the estimate alone, byte for byte."""
+    trials, grid = 300, "0:3:0.5"
+    argv = ["simulate", "--chain", chain_file, "--u-grid", grid, "--trials", str(trials),
+            "--seed", "5"]
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--output", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines(keepends=True)
+    assert lines[3].startswith("# diagnostics: ")
+    diagnostics = json.loads(lines[3][len("# diagnostics: "):])
+    report = estimate_tail(*load_chain(chain_file), parse_grid(grid), SimConfig(trials, 5))
+    rows = report.rows()
+    assert "".join(lines[4:]) == "".join(",".join(map(str, row)) + "\n" for row in rows)
+    assert diagnostics["trials"] == trials and len(diagnostics["tail_hits"]) == len(rows) - 1
+    assert 0 < sum(diagnostics["tail_hits"])
+    for hits, est, lo, hi in zip(diagnostics["tail_hits"], report.estimates, report.ci_low,
+                                 report.ci_high):
+        assert hits / trials == est and wilson_interval(hits, trials) == (lo, hi)
+    assert main(argv + ["--format", "json", "--output", str(json_out)]) == 0
+    text = json_out.read_text()
+    assert json.loads(text)["manifest"]["diagnostics"] == diagnostics
+    data = {"columns": rows[0], "rows": rows[1:], "lambda": report.lam}
+    body = json.dumps(data, sort_keys=True, indent=2).replace("\n", "\n  ")
+    assert text.startswith(f'{{\n  "data": {body},\n  "manifest": ')
 
 
 @pytest.mark.parametrize("order", ["row-major", "diagonal-first"])
@@ -286,6 +318,18 @@ def test_validation_errors_exit_one(tmp_path, chain_file, capsys):
     capsys.readouterr()
     assert main(["spectral", "--chain", chain_file, "--k", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("n, argv", [(40, ["exact", "--tail-grid", "0:2:1"]),
+                                     (16, ["exact", "--tail-grid", "0:2:1"]),
+                                     (16, ["verify"])])  # verify's brute force runs to 2^16 paths
+def test_huge_lattice_denominator_exits_one(tmp_path, capsys, n, argv):
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps({"transition": [[0.75, 0.25], [0.25, 0.75]],
+                                "functions": {"values": prime_reciprocal_values(n)}}))
+    assert main(argv + ["--chain", str(path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: lattice indices span")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("option,content", [

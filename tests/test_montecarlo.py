@@ -27,18 +27,28 @@ from mchoeffding.montecarlo import (
     _SCAN_WIDTH,
     _block_steps,
     _cdf_table,
+    _first_states,
     _guide,
     _guided_step,
     _scan_walk,
     _step,
     _steps,
     _tail_table,
+    _thresholds,
     estimate_gaussian_norm,
     estimate_vector_sum_tail,
     sample_paths,
     simulate_sums,
 )
-from mchoeffding.rng import _to_unit, normal_block, splitmix64, trial_seeds, uniform_block
+from mchoeffding.rng import (
+    _finish,
+    _to_unit,
+    hash_block,
+    normal_block,
+    splitmix64,
+    trial_seeds,
+    uniform_block,
+)
 
 from conftest import random_chain, random_lattice_family, ref_uniforms
 
@@ -351,7 +361,7 @@ def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
     u_all = _reference_uniforms(41, widest, max(_WALK_SIZES))
     scanned = []
     monkeypatch.setattr(montecarlo, "_scan_walk",
-                        lambda chain, u: scanned.append(u.shape) or _scan_walk(chain, u))
+                        lambda chain, m: scanned.append(m.shape) or _scan_walk(chain, m))
     for n in _WALK_SIZES:
         edge = _last_scanned_trials(chain.n_states, n)
         assert 1 <= edge < widest
@@ -360,7 +370,8 @@ def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
             u = u_all[:trials, :n]  # trial seeds and counters are prefixes of the wider block
             ref = seed_walk(chain, u)
             # both kernels on every size, then the one the rule picks
-            np.testing.assert_array_equal(_scan_walk(chain, uniform_block(seeds, n)), ref)
+            mantissas = (hash_block(seeds, n) >> 12).view(np.int64)
+            np.testing.assert_array_equal(_scan_walk(chain, mantissas), ref)
             np.testing.assert_array_equal(np.array(list(_steps(chain, seeds, n))).T, ref)
             scanned.clear()
             np.testing.assert_array_equal(sample_paths(chain, n, SimConfig(trials, 41)), ref)
@@ -377,6 +388,14 @@ def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
                                   sum(values[i][ref[:, i]] for i in range(3)))
 
 
+def _unit(m):
+    """The uniform (2m + 1) 2^-53 of each mantissa m, through the library's float map."""
+    return _to_unit(np.array(m, dtype=np.uint64, ndmin=1) << np.uint64(12))
+
+
+_TOP_MANTISSA = 2**52 - 1  # uniform 1 - 2^-53
+
+
 def _short_row_sum_chain(n_states):
     # the last row sums to 1 - 5e-10, inside the row-sum tolerance; u above its
     # final cumulative value must land on the last state, as the clip does
@@ -386,28 +405,32 @@ def _short_row_sum_chain(n_states):
     cum = np.cumsum(chain.transition, axis=1)
     top = cum[-1, -1]
     assert top < 1.0
-    u = np.array([np.nextafter(top, 1.0), 1.0 - 2.5e-10, 1.0 - 2.0**-53, top, 0.5, 1e-300])
-    states = np.full(len(u), n_states - 1)
+    # the mantissas just above top, near 1 - 2.5e-10, at 1 - 2^-53, just below top, 1/2, 0
+    above = next(m for m in range(int(top * 2**52) - 2, 2**52) if _unit(m)[0] > top)
+    m = np.array([above, int((1.0 - 2.5e-10) * 2**52), _TOP_MANTISSA, above - 1, 2**51, 0])
+    u = _unit(m)
+    assert u[0] > top >= u[3]
+    states = np.full(len(m), n_states - 1)
     expected = np.clip((u[:, None] > cum[states]).sum(axis=1), 0, n_states - 1)
-    return chain, u, expected
+    return chain, m, expected
 
 
 @pytest.mark.parametrize("n_states", [3, 4, 5])
 def test_step_caps_state_above_short_row_sum(n_states):
-    chain, u, expected = _short_row_sum_chain(n_states)
+    chain, m, expected = _short_row_sum_chain(n_states)
     table, bits = _cdf_table(chain.transition)
-    nxt = _step(table, bits, np.full(len(u), n_states - 1), u)
+    nxt = _step(table, bits, np.full(len(m), n_states - 1), m)
     np.testing.assert_array_equal(nxt, expected)
     np.testing.assert_array_equal(nxt[:3], n_states - 1)
 
 
 @pytest.mark.parametrize("n_states", [3, 4, 5])
 def test_scan_caps_state_above_short_row_sum(n_states):
-    chain, u, expected = _short_row_sum_chain(n_states)
-    # 1 - 2^-53 starts every trial on the last state and keeps it there for a
-    # step, so the last column reads the test uniforms from the short row
-    top_u = np.full(len(u), 1.0 - 2.0**-53)
-    paths = _scan_walk(chain, np.stack([top_u, top_u, u], axis=1))
+    chain, m, expected = _short_row_sum_chain(n_states)
+    # uniform 1 - 2^-53 starts every trial on the last state and keeps it there
+    # for a step, so the last column reads the test mantissas from the short row
+    top_m = np.full(len(m), _TOP_MANTISSA)
+    paths = _scan_walk(chain, np.stack([top_m, top_m, m], axis=1))
     np.testing.assert_array_equal(paths[:, :2], n_states - 1)
     np.testing.assert_array_equal(paths[:, 2], expected)
     np.testing.assert_array_equal(paths[:3, 2], n_states - 1)
@@ -419,8 +442,11 @@ def _guide_chains():
     tiny = np.array([[1e-5, 2e-5, 3e-5, 1 - 6e-5], [0.25] * 4, [0.4, 0.3, 0.2, 0.1],
                      [0.1, 0.2, 0.3, 0.4]])
     dyadic = [[0.25, 0.5, 0.25], [0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]
+    # 1/2 - 3 * 2^-53 has threshold 2^51 - 1, the last mantissa of a 4-state guide bucket
+    top = [0.5 - 3 * 2.0**-53, 3 * 2.0**-53, 0.25, 0.25]
     rng = np.random.default_rng(64)
     return {
+        "bucket_top": _doubly_stochastic([np.roll(top, i) for i in range(4)]),
         "tiny_probabilities": validate_chain(tiny),
         "dyadic": _doubly_stochastic(dyadic),
         "zero_entries": WALK_CHAINS["zero_entries"],
@@ -440,6 +466,11 @@ def _count_up_to_last(chain, states, u):
     return np.minimum((u[:, None] > cum).sum(axis=1), chain.n_states - 1)
 
 
+def _unfinish(x):
+    """The `rng._premix` output that splitmix64's last xor-shift turns into hash x."""
+    return x ^ (x >> np.uint64(31)) ^ (x >> np.uint64(62))
+
+
 @pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
 def test_guided_step_is_exact_at_bucket_edges(name):
     """Every state at the smallest and largest hash of every bucket, and one past each."""
@@ -451,12 +482,16 @@ def test_guided_step_is_exact_at_bucket_edges(name):
     edges = np.concatenate([top, top - 1, top | np.uint64(2**64 - 1) >> k, top + 1])
     states = np.repeat(np.arange(chain.n_states), edges.size)
     z = np.tile(edges, chain.n_states)
-    np.testing.assert_array_equal(_guided_step(table, bits, guide, k, states, z),
+    premixed = _unfinish(z)
+    np.testing.assert_array_equal(_finish(premixed.copy()), z)
+    np.testing.assert_array_equal(_guided_step(table, bits, guide, k, states, premixed),
                                   _count_up_to_last(chain, states, _to_unit(z.copy())))
     if name == "tiny_probabilities":
         assert guide[0] == -1 and guide[1] == 3   # three values in bucket 0, none in 1
     if name == "dyadic":
         assert guide.min() >= 0                   # every value lies on a bucket edge
+    if name == "bucket_top":
+        assert guide[(1 << (k - 1)) - 1] == -1    # the last mantissa of the bucket moves on
 
 
 @pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
@@ -485,6 +520,44 @@ def test_guided_walk_matches_seed_walk(name, monkeypatch):
     sizes.clear()
     np.testing.assert_array_equal(sample_paths(chain, n - 1, cfg), ref[:, :n - 1])
     assert sizes == [trials] * (n - 2)
+
+
+def _adversarial_cumulatives():
+    """0, the smallest subnormal, every odd (2m + 1) 2^-53 and even 2m 2^-53 multiple for a
+    spread of m with its float neighbours, 1 - 2^-53, 1 and the short-row-sum cap 1 + 1e-12."""
+    values = [0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 1.0, 1.0 + 1e-12]
+    for m in (0, 1, 2, 3, 2**26 + 1, 2**50, 2**51 - 1, 2**51, 2**52 - 2, 2**52 - 1):
+        for c in ((2 * m + 1) * 2.0**-53, 2 * m * 2.0**-53):
+            values += [np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)]
+    return np.array(values)
+
+
+def test_thresholds_are_exact_at_every_boundary():
+    """u > c exactly when the mantissa of u reaches _thresholds(c), with `_to_unit` as the
+    float oracle, at every cumulative value of the walk's chains and at adversarial ones."""
+    chains = list(WALK_CHAINS.values()) + list(GUIDE_CHAINS.values())
+    c = np.concatenate([np.cumsum(ch.transition, axis=1).ravel() for ch in chains]
+                       + [np.cumsum(ch.stationary) for ch in chains]
+                       + [_adversarial_cumulatives()])
+    M = _thresholds(c)
+    below, above = M > 0, M <= _TOP_MANTISSA
+    assert np.all(_unit(M[below] - 1) <= c[below])
+    assert np.all(c[above] < _unit(M[above]))
+    assert np.all(_unit(_TOP_MANTISSA) <= c[~above])  # no uniform exceeds these
+    assert above.sum() < c.size and below.sum() < c.size
+
+
+def test_first_states_count_stationary_values_up_to_u():
+    """The first state counts the stationary CDF's values c <= u, not c < u: at a c that
+    equals a uniform, (2^51 + 1) 2^-53, the first state is already the next one."""
+    odd = validate_chain(np.eye(3), [0.25 + 2.0**-53, 0.25 - 2.0**-53, 0.5])
+    for chain in [odd] + list(WALK_CHAINS.values()) + list(GUIDE_CHAINS.values()):
+        cum = np.cumsum(chain.stationary)
+        T = _thresholds(cum)
+        m = np.clip(np.concatenate([T - 1, T, T + 1, [0, _TOP_MANTISSA]]), 0, _TOP_MANTISSA)
+        np.testing.assert_array_equal(_first_states(chain, m),
+                                      np.searchsorted(cum[:-1], _unit(m), side="right"))
+    assert _first_states(odd, np.array([2**50 - 1, 2**50, 2**50 + 1])).tolist() == [0, 1, 1]
 
 
 def test_uniform_block_ranges_concatenate():

@@ -36,7 +36,12 @@ from mchoeffding.oracle import (
     evaluate_projector_chain_claim,
 )
 
-from conftest import brute_force_string_sum, random_chain, random_lattice_family
+from conftest import (
+    brute_force_string_sum,
+    prime_reciprocal_values,
+    random_chain,
+    random_lattice_family,
+)
 
 
 def _agree(x, y, tol=1e-10):
@@ -190,6 +195,18 @@ def test_non_lattice_values_rejected():
     tight = Tolerances(lattice_max_denominator=10)
     with pytest.raises(NotLattice):
         lattice_distribution(chain, funcs, tight)
+
+
+def test_lattice_with_huge_common_denominator_is_too_large():
+    """Rational differences whose denominators' LCM overflows int64 raise TooLarge, not
+    OverflowError, in both oracles that share the lattice decomposition."""
+    chain = two_state_chain(0.5)
+    for n, oracles in [(40, [lattice_distribution]),
+                       (16, [lattice_distribution, brute_force_distribution])]:
+        funcs = make_family(prime_reciprocal_values(n), chain=chain)
+        for oracle in oracles:
+            with pytest.raises(TooLarge, match="lattice indices span"):
+                oracle(chain, funcs)
 
 
 def test_brute_force_guard():

@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from mchoeffding.montecarlo import _block_steps
-from mchoeffding.rng import _to_unit, splitmix64, trial_seeds, uniform_block, uniform_steps
+from mchoeffding.montecarlo import _GUIDE_BITS, _block_steps
+from mchoeffding.rng import (
+    _GOLDEN,
+    _finish,
+    _premix,
+    _to_unit,
+    hash_block,
+    splitmix64,
+    trial_seeds,
+    uniform_block,
+    uniform_steps,
+)
 
 from conftest import M64, ref_splitmix64, ref_uniforms
 
@@ -38,12 +48,35 @@ def test_uniform_block_matches_reference(start, stop):
                                   ref_uniforms(seeds, stop, start))
 
 
+@pytest.mark.parametrize("start, stop", [(0, 1), (13, 77)])
+def test_hash_block_is_the_uniform_blocks_hashes(start, stop):
+    seeds = trial_seeds(3, 50)
+    z = hash_block(seeds, stop, start)
+    assert z.dtype == np.uint64
+    np.testing.assert_array_equal(_to_unit(z), uniform_block(seeds, stop, start))
+
+
+def test_premix_keeps_the_final_top_31_bits():
+    """splitmix64's last step z ^= z >> 31 leaves bits 63..33 alone, and bit 32 takes bit 63;
+    the guided walk reads at most _GUIDE_BITS top bits before that step."""
+    xs = [0, 1, 2**31 - 1, 2**32, 2**33 - 1, 2**63 - 1, 2**63, M64 - 1, M64]
+    xs += [int(x) for x in np.random.default_rng(31).integers(0, 2**64, size=2000,
+                                                              dtype=np.uint64)]
+    x = np.array(xs, dtype=np.uint64)
+    pre = _premix(x + _GOLDEN, np.empty_like(x))
+    full = splitmix64(x)
+    np.testing.assert_array_equal(pre >> np.uint64(33), full >> np.uint64(33))
+    assert [int(p) >> 33 for p in pre] == [ref_splitmix64(x) >> 33 for x in xs]
+    np.testing.assert_array_equal(_finish(pre.copy()), full)
+    assert np.any(pre >> np.uint64(32) != full >> np.uint64(32))
+    assert _GUIDE_BITS <= 31
+
+
 @pytest.mark.parametrize("trials", [1, 7, 300, 20_000])
 def test_walk_draws_match_reference(trials):
-    """The walk's draws: `_to_unit` of row j of the hashes from counter start on is
-    column start + j of the reference block, for the walk's own block size and for
-    others, each block converted in a copy before the next is requested (the buffers
-    are reused)."""
+    """The walk's draws: `_to_unit(_finish(...))` of row j of the blocks from counter start
+    on is column start + j of the reference block, for the walk's own block size and for
+    others, each block copied before the next is requested (the buffers are reused)."""
     seeds = trial_seeds(41, trials)
     walk_block = _block_steps(trials)
     n = 2 * walk_block + 3
@@ -53,7 +86,8 @@ def test_walk_draws_match_reference(trials):
             blocks = [z.copy() for z in uniform_steps(seeds, n, block, start)]
             assert all(z.dtype == np.uint64 and z.flags.c_contiguous and 1 <= len(z) <= block
                        for z in blocks)
-            np.testing.assert_array_equal(_to_unit(np.concatenate(blocks)), ref.T[start:])
+            np.testing.assert_array_equal(_to_unit(_finish(np.concatenate(blocks))),
+                                          ref.T[start:])
 
 
 def test_to_unit_is_exact_at_every_boundary():

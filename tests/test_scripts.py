@@ -42,3 +42,13 @@ def test_matrix_study(capsys):
         assert r["ci_low"] <= r["mean_norm"] <= r["ci_high"]
         assert r["mean_norm"] <= r["b_norm"] + 1e-9
     assert captured.err.count("fitted C=") == 2
+
+
+def test_walk_layers(capsys):
+    _load("walk_layers").main(["--repeats", "1", "--scale", "0.01"])
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["mirror_matches"] is True
+    layers = {"draws", "lookup", "fallback", "accumulate", "simulate_sums"}
+    assert set(blob["median_ms"]) == {f"mc_tail.{name}" for name in layers} | {
+        "search_T300.simulate_sums", "search_T5000.simulate_sums", "scan.sample_paths"}
+    assert all(math.isfinite(ms) and ms >= 0 for ms in blob["median_ms"].values())
