@@ -69,9 +69,5 @@ class OrderMismatch(InvalidOrder, DimensionMismatch):
     """A fill order built for another d than the coefficient matrix's."""
 
 
-class EmptyInput(ValidationError):
-    pass
-
-
 class Overflow(NumericError):
     pass

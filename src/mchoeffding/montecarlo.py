@@ -1,6 +1,6 @@
-"""Seeded trajectory simulation: tail estimates with Wilson intervals and
-Gaussian baselines for the vector-valued comparison.  Hit counts come from
-`bounds.tail_mass`, the query the exact tails use, with one weight per trial.
+"""Seeded trajectory simulation: tail estimates with Wilson intervals.  Hit
+counts come from `bounds.tail_mass`, the query the exact tails use, with one
+weight per trial.
 
 Determinism contract: every random draw is a pure function of
 (master_seed, trial index, step counter), so reports are bit-identical for a
@@ -8,7 +8,7 @@ fixed configuration regardless of batching.
 
 Both walk kernels compare hash mantissas with integer CDF thresholds (`_thresholds`)
 and agree bit for bit.  The step loop (`_steps`) yields each step's states from hash
-blocks in two reused buffers (`rng.uniform_steps`): O(trials * (block + dim X)) memory.
+blocks in two reused buffers (`rng.uniform_steps`): O(trials * block) memory.
 Wide, long walks look steps up in a guide table (`_guide`; Chen and Asau, 1974).
 `_paths` takes the prefix scan (`_scan_walk`) for at most _SCAN_WIDTH (trial,
 state) pairs, where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
@@ -17,23 +17,24 @@ state) pairs, where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import evaluate_tail_bounds, tail_mass, tail_rows
 from .chain import FunctionFamily, MarkovChain
-from .errors import DimensionMismatch, EmptyInput, OutOfRange
-from .rng import _finish, _mantissa, hash_block, normal_block, trial_seeds, uniform_steps
-from .spectral import contraction, spectral_norms
+from .errors import OutOfRange
+from .rng import _finish, _mantissa, hash_block, trial_seeds, uniform_steps
+from .spectral import contraction
 
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval; well behaved at extreme tail probabilities."""
     if trials < 1:
         raise OutOfRange("trials must be positive")
+    z = _Z95
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -63,7 +64,6 @@ class TailReport:
     trials: int
     master_seed: int
     lam: float
-    extra: dict = field(default_factory=dict)
 
     def rows(self):
         leading = {"u": self.u_grid, "estimate": self.estimates,
@@ -219,29 +219,15 @@ def _tail_table(values: np.ndarray, thresholds: np.ndarray):
     return hits / trials, ci[:, 0], ci[:, 1]
 
 
-def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimConfig,
-                  lam: float | None = None) -> TailReport:
+def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimConfig) -> TailReport:
     """Empirical Pr[|S_n| >= u * ||a||_2] over the u-grid, with bound columns."""
     u_grid = np.asarray(u_grid, dtype=float)
-    if lam is None:
-        lam = contraction(chain)
+    lam = contraction(chain)
     S = simulate_sums(chain, funcs, cfg)
     est, lo, hi = _tail_table(np.abs(S), u_grid * funcs.a_l2)
     return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
                       bounds=evaluate_tail_bounds(u_grid, lam),
                       trials=cfg.trials, master_seed=cfg.master_seed, lam=float(lam))
-
-
-def _norms(sums: np.ndarray, norm_kind: str) -> np.ndarray:
-    if norm_kind == "euclidean":
-        return np.sqrt(np.sum(sums**2, axis=tuple(range(1, sums.ndim))))
-    if norm_kind == "sup":
-        return np.abs(sums).reshape(len(sums), -1).max(axis=1)
-    if norm_kind == "schatten_inf":
-        if sums.ndim != 3:
-            raise OutOfRange("schatten_inf needs matrix-valued inputs")
-        return spectral_norms(sums)
-    raise OutOfRange(f"unknown norm kind {norm_kind!r}")
 
 
 def _mean_interval(x: np.ndarray):
@@ -250,63 +236,3 @@ def _mean_interval(x: np.ndarray):
     mean = float(x.mean())
     sem = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
     return mean, mean - _Z95 * sem, mean + _Z95 * sem
-
-
-def estimate_gaussian_norm(x_vectors, norm_kind: str, cfg: SimConfig):
-    """Monte Carlo E[||g_1 X_1 + ... + g_n X_n||] with a standard-error CI.
-
-    Returns (mean, ci_low, ci_high)."""
-    X = np.asarray(x_vectors, dtype=float)
-    if X.size == 0:
-        raise EmptyInput("need at least one X vector")
-    g = normal_block(trial_seeds(cfg.master_seed, cfg.trials), X.shape[0])
-    sums = np.tensordot(g, X, axes=(1, 0))
-    return _mean_interval(_norms(sums, norm_kind))
-
-
-def estimate_vector_sum_tail(chain: MarkovChain, funcs: FunctionFamily, x_vectors,
-                             norm_kind: str, threshold_grid, cfg: SimConfig,
-                             gaussian_trials: int | None = None) -> TailReport:
-    """Empirical Pr[||sum_i f_i(Y_i) X_i|| >= t] per grid point.
-
-    Each threshold t is paired with u = t / E[||sum g_i X_i||] (Gaussian
-    baseline, estimated with a derived seed) and the report carries a fitted
-    curve L * exp(-C u^2 (1 - lam))."""
-    X = np.asarray(x_vectors, dtype=float)
-    if X.size == 0:
-        raise EmptyInput("need at least one X vector")
-    if len(X) != funcs.n_steps:
-        raise DimensionMismatch(f"need one X vector per step: got {len(X)} for "
-                                f"{funcs.n_steps} steps")
-    thresholds = np.asarray(threshold_grid, dtype=float)
-    seeds = trial_seeds(cfg.master_seed, cfg.trials)
-    sums = np.zeros((cfg.trials,) + X.shape[1:])
-    for f, x, states in zip(funcs.values, X, _steps(chain, seeds, funcs.n_steps)):
-        sums += np.multiply.outer(f[states], x)
-    norms = _norms(sums, norm_kind)
-
-    g_cfg = SimConfig(trials=cfg.trials if gaussian_trials is None else gaussian_trials,
-                      master_seed=int(trial_seeds(cfg.master_seed ^ 0x5A5A5A5A, 1)[0]))
-    g_mean, _, _ = estimate_gaussian_norm(X, norm_kind, g_cfg)
-
-    lam = contraction(chain)
-    est, lo, hi = _tail_table(norms, thresholds)
-    u_grid = thresholds / g_mean if g_mean > 0 else np.full_like(thresholds, np.inf)
-
-    fit_L, fit_C = _fit_tail_curve(u_grid, est, lam)
-    extra = {"gaussian_norm_mean": g_mean, "fitted_L": fit_L, "fitted_C": fit_C,
-             "thresholds": thresholds.tolist()}
-    return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
-                      bounds={}, trials=cfg.trials,
-                      master_seed=cfg.master_seed, lam=float(lam), extra=extra)
-
-
-def _fit_tail_curve(u_grid, estimates, lam):
-    """Least-squares fit of log p = log L - C u^2 (1-lam) on nonzero estimates."""
-    mask = (estimates > 0) & np.isfinite(u_grid)
-    if mask.sum() < 2 or lam >= 1.0:
-        return float("nan"), float("nan")
-    x = (np.asarray(u_grid)[mask] ** 2) * (1.0 - lam)
-    y = np.log(np.asarray(estimates)[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(math.exp(intercept)), float(-slope)

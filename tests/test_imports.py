@@ -1,4 +1,7 @@
+import ast
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,6 +11,15 @@ import mchoeffding
 # is loaded before the package, so the check holds on any Python version.
 STDLIB_IMPORTS = ("argparse", "dataclasses", "fractions", "functools", "itertools", "json",
                   "math", "numbers", "os", "sys", "tempfile", "time")
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# Library definitions that only the tests call, each with the reason it is kept.
+TEST_ONLY = {
+    "chain_to_dict": "writes the chain files that the CLI tests load",
+    "brute_force_monomial": "reference oracle for the exact monomial expectation",
+    "evaluate_projector_chain_claim": "appendix-claim evaluator for acceptance criterion 8",
+    "evaluate_diagonal_chain_claim": "appendix-claim evaluator for acceptance criterion 8",
+}
 
 
 def test_import_loads_nothing_beyond_numpy_and_its_own_stdlib_modules():
@@ -24,3 +36,34 @@ def test_import_loads_nothing_beyond_numpy_and_its_own_stdlib_modules():
     loaded = set(proc.stdout.split())
     assert "mchoeffding" in loaded
     assert loaded <= {"mchoeffding", "numpy"}, loaded
+
+
+def _referenced_names(paths):
+    """Names used as a Name, an Attribute, an import alias, or the last part of a
+    dotted string such as the benchmark tracer's "montecarlo.simulate_sums"."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"\w+(\.\w+)+", node.value):
+                names.add(node.value.rpartition(".")[2])
+    return names
+
+
+def test_every_library_definition_is_referenced():
+    """Every top-level def or class of the library is reached from the library, the
+    scripts or the benchmark, or is listed in TEST_ONLY with its reason."""
+    defined = {node.name for path in (ROOT / "src" / "mchoeffding").glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = _referenced_names(path for folder in ("src", "scripts", "perfbench")
+                             for path in (ROOT / folder).rglob("*.py"))
+    assert sorted(defined - used - set(TEST_ONLY)) == []
+    # an entry that is gone, or that a caller now reaches, leaves the list
+    assert sorted(set(TEST_ONLY) - (defined - used)) == []

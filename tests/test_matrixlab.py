@@ -238,11 +238,14 @@ def test_run_matrix_experiment_report():
 def test_run_matrix_experiment_scalar_case():
     B = CoefficientMatrix([[2.0]])
     chain = two_state_chain(0.0)
-    rep = run_matrix_experiment(B, row_major_order(1), chain, [1.0, -1.0],
-                                SimConfig(trials=200, master_seed=6), lam=0.0,
-                                gaussian_trials=10)
-    # |f| = 1 always, so every sample norm is exactly b_11
-    assert rep.mean_norm == pytest.approx(2.0)
+    for trials in (200, 1):
+        rep = run_matrix_experiment(B, row_major_order(1), chain, [1.0, -1.0],
+                                    SimConfig(trials=trials, master_seed=6), lam=0.0,
+                                    gaussian_trials=10)
+        # |f| = 1 always, so every sample norm is exactly b_11
+        assert rep.mean_norm == pytest.approx(2.0)
+    # one sample: the interval collapses, with no ddof=1 RuntimeWarning (an error under pyproject.toml)
+    assert rep.ci_low == rep.mean_norm == rep.ci_high == 2.0
     with pytest.raises(OutOfRange):
         run_matrix_experiment(B, row_major_order(1), chain, [1.0, -1.0],
                               SimConfig(trials=2, master_seed=6), lam=0.0, gaussian_trials=0)

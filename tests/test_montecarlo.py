@@ -18,7 +18,7 @@ from mchoeffding import (
     wilson_interval,
 )
 from mchoeffding.chain import FunctionFamily
-from mchoeffding.errors import DimensionMismatch, EmptyInput, OutOfRange
+from mchoeffding.errors import OutOfRange
 from mchoeffding.montecarlo import (
     _BLOCK_DRAWS,
     _GUIDE_BITS,
@@ -35,8 +35,6 @@ from mchoeffding.montecarlo import (
     _steps,
     _tail_table,
     _thresholds,
-    estimate_gaussian_norm,
-    estimate_vector_sum_tail,
     sample_paths,
     simulate_sums,
 )
@@ -44,7 +42,6 @@ from mchoeffding.rng import (
     _finish,
     _to_unit,
     hash_block,
-    normal_block,
     splitmix64,
     trial_seeds,
     uniform_block,
@@ -135,112 +132,6 @@ def test_report_rows_and_vacuous_flags():
     assert rows[0][0] == "u"
     assert "rao" in rows[1][-1] and "iid" in rows[1][-1]  # all vacuous at u = 0
     assert "iid" not in rows[2][-1]                        # 2 e^{-18} < 1 at u = 6
-
-
-def test_gaussian_norm_half_normal():
-    mean, lo, hi = estimate_gaussian_norm([[3.0, 4.0]], "euclidean",
-                                          SimConfig(trials=50_000, master_seed=21))
-    assert lo <= math.sqrt(2.0 / math.pi) * 5.0 <= hi
-
-
-def test_gaussian_norm_zero_vectors():
-    mean, _, _ = estimate_gaussian_norm(np.zeros((3, 4)), "euclidean",
-                                        SimConfig(trials=100, master_seed=1))
-    assert mean == 0.0
-
-
-def test_gaussian_norm_chi_mean():
-    n = 4
-    mean, lo, hi = estimate_gaussian_norm(np.eye(n), "euclidean",
-                                          SimConfig(trials=50_000, master_seed=33))
-    chi_mean = math.sqrt(2.0) * math.gamma((n + 1) / 2) / math.gamma(n / 2)
-    assert lo <= chi_mean <= hi
-
-
-def test_gaussian_norm_empty():
-    with pytest.raises(EmptyInput):
-        estimate_gaussian_norm(np.zeros((0, 3)), "euclidean", SimConfig(trials=10, master_seed=1))
-
-
-def test_vector_sum_tail_scalar_reduction():
-    chain = two_state_chain(0.5)
-    funcs = sign_family(1)
-    report = estimate_vector_sum_tail(chain, funcs, [[1.0, 0.0]], "euclidean",
-                                      [0.5, 1.5], SimConfig(trials=500, master_seed=4))
-    assert report.estimates[0] == 1.0   # |f_1| = 1 always
-    assert report.estimates[1] == 0.0
-
-
-def test_vector_sum_tail_zero_functions():
-    chain = two_state_chain(0.5)
-    funcs = sign_family(3)
-    zero = type(funcs)(values=np.zeros_like(funcs.values), bounds=np.zeros(3))
-    report = estimate_vector_sum_tail(chain, zero, np.eye(3), "euclidean",
-                                      [0.1, 1.0], SimConfig(trials=200, master_seed=4))
-    assert np.all(report.estimates == 0.0)
-
-
-def test_vector_sum_tail_rejects_zero_gaussian_trials():
-    # 0 is not "unset": it fails like run_matrix_experiment's gaussian_trials=0
-    chain = two_state_chain(0.3)
-    with pytest.raises(OutOfRange):
-        estimate_vector_sum_tail(chain, sign_family(3), np.eye(3), "euclidean", [1.0],
-                                 SimConfig(trials=20, master_seed=1), gaussian_trials=0)
-
-
-def test_vector_sum_tail_needs_one_vector_per_step():
-    cfg = SimConfig(trials=10, master_seed=4)
-    for X in (np.eye(2), np.eye(4)):
-        with pytest.raises(DimensionMismatch):
-            estimate_vector_sum_tail(two_state_chain(0.5), sign_family(3), X, "euclidean",
-                                     [0.5], cfg)
-
-
-def test_vector_sum_tail_orthonormal_cross_check(rng):
-    # orthonormal X_i: the norm is sqrt(sum f_i(Y_i)^2); compare to enumeration
-    chain = random_chain(rng, 2)
-    funcs = random_lattice_family(rng, chain, 3)
-    import itertools
-
-    probs = {}
-    for path in itertools.product(range(2), repeat=3):
-        p = chain.stationary[path[0]]
-        for i in range(1, 3):
-            p *= chain.transition[path[i - 1], path[i]]
-        norm = math.sqrt(sum(funcs.values[i][path[i]] ** 2 for i in range(3)))
-        probs[round(norm, 9)] = probs.get(round(norm, 9), 0.0) + p
-    t = float(np.median(sorted(probs)))
-    exact_p = sum(p for v, p in probs.items() if v >= t - 1e-12)
-    report = estimate_vector_sum_tail(chain, funcs, np.eye(3), "euclidean",
-                                      [t], SimConfig(trials=20_000, master_seed=8))
-    assert report.ci_low[0] - 1e-9 <= exact_p <= report.ci_high[0] + 1e-9
-
-
-def test_vector_sum_tail_schatten_inf_matches_per_matrix_svd(rng):
-    chain = random_chain(rng, 3)
-    funcs = random_lattice_family(rng, chain, 4)
-    X = rng.normal(size=(4, 3, 3))
-    X[:, 0, 1] += 2.0                       # clearly non-symmetric
-    cfg = SimConfig(trials=400, master_seed=12)
-
-    def svd_norms(sums):
-        return np.array([np.linalg.svd(M, compute_uv=False).max() for M in sums])
-
-    states = sample_paths(chain, 4, cfg)
-    coeff = np.stack([funcs.values[i][states[:, i]] for i in range(4)], axis=1)
-    norms = np.sort(svd_norms(np.tensordot(coeff, X, axes=(1, 0))))
-    # thresholds halfway between distinct norms, away from the 1e-12 tie slack
-    distinct = np.unique(norms)
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    thresholds = mids[np.linspace(0, len(mids) - 1, 6).astype(int)]
-    report = estimate_vector_sum_tail(chain, funcs, X, "schatten_inf", thresholds, cfg,
-                                      gaussian_trials=300)
-    np.testing.assert_array_equal(report.estimates,
-                                  [(norms >= t).mean() for t in thresholds])
-    g_seed = int(trial_seeds(cfg.master_seed ^ 0x5A5A5A5A, 1)[0])
-    g = normal_block(trial_seeds(g_seed, 300), 4)
-    g_mean = svd_norms(np.tensordot(g, X, axes=(1, 0))).mean()
-    assert report.extra["gaussian_norm_mean"] == pytest.approx(g_mean, rel=1e-12)
 
 
 def test_tightness_direction_in_lambda():
@@ -576,22 +467,6 @@ def test_simulate_sums_memory_is_streamed():
     tracemalloc.start()
     try:
         simulate_sums(chain, funcs, SimConfig(trials=trials, master_seed=3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
-
-
-def test_vector_sum_tail_memory_is_streamed():
-    # the (T, n) paths and coefficients alone would take 160 MB
-    trials, n = 2000, 5000
-    funcs = sign_family(n)
-    chain = two_state_chain(0.5)
-    X = np.random.default_rng(0).normal(size=(n, 3))
-    tracemalloc.start()
-    try:
-        estimate_vector_sum_tail(chain, funcs, X, "euclidean", [1.0, 50.0],
-                                 SimConfig(trials=trials, master_seed=3), gaussian_trials=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

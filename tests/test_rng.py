@@ -1,5 +1,7 @@
 """The counter-based generator against an independent pure-Python splitmix64."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mchoeffding.rng import (
     _premix,
     _to_unit,
     hash_block,
+    normal_block,
     splitmix64,
     trial_seeds,
     uniform_block,
@@ -99,3 +102,32 @@ def test_to_unit_is_exact_at_every_boundary():
         u = _to_unit(bits)
         np.testing.assert_array_equal(u, [(k + 0.5) * 2.0**-52 for k in ks])
     assert 0.0 < u.min() and u.max() < 1.0
+
+
+def _inside_95(x, expected):
+    half = 1.959963984540054 * float(x.std(ddof=1)) / math.sqrt(x.size)
+    assert abs(float(x.mean()) - expected) <= half
+
+
+def test_normal_block_half_normal_mean():
+    """|3 g_1 + 4 g_2| is 5 |N(0, 1)|, whose mean is 5 sqrt(2 / pi)."""
+    g = normal_block(trial_seeds(21, 50_000), 2)
+    _inside_95(np.abs(g @ [3.0, 4.0]), 5.0 * math.sqrt(2.0 / math.pi))
+
+
+def test_normal_block_chi_mean():
+    """The norm of 4 independent N(0, 1) draws has the chi mean sqrt(2) G(5/2) / G(2)."""
+    n = 4
+    g = normal_block(trial_seeds(33, 50_000), n)
+    chi_mean = math.sqrt(2.0) * math.gamma((n + 1) / 2) / math.gamma(n / 2)
+    _inside_95(np.linalg.norm(g, axis=1), chi_mean)
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_normal_block_odd_count_is_the_next_even_counts_prefix(count):
+    """An odd count takes the (count + 1) / 2 Box-Muller pairs of count + 1 and drops
+    the last column."""
+    seeds = trial_seeds(5, 40)
+    g = normal_block(seeds, count)
+    assert g.shape == (40, count)
+    np.testing.assert_array_equal(g, normal_block(seeds, count + 1)[:, :count])
