@@ -45,4 +45,4 @@ from .oracle import (
     lattice_distribution,
     verify_holder_application,
 )
-from .spectral import NormContext, contraction, opnorm, power_deviation
+from .spectral import NormContext, contraction, deviation_norms, opnorm

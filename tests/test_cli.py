@@ -18,6 +18,7 @@ from mchoeffding import (
     exact_moments,
     sign_family,
     two_state_chain,
+    validate_chain,
     wilson_interval,
 )
 from mchoeffding.chain import chain_to_dict, load_chain
@@ -102,6 +103,47 @@ def test_spectral_subcommand(tmp_path, chain_file):
     assert blob["data"]["exceeds_one"] is False
     np.testing.assert_allclose(blob["data"]["power_deviation_norms"],
                                [0.5, 0.25, 0.125], atol=1e-10)
+
+
+def test_spectral_k_memory_stays_blocked(tmp_path, rng):
+    """--k 2000 on 64 states: 2000 stacked 64 x 64 deviations alone would take
+    over 65 MB; the blocked norms keep the traced peak under 8 MB."""
+    A = rng.random((64, 64)) + 0.05
+    path = tmp_path / "chain64.json"
+    path.write_text(json.dumps(chain_to_dict(validate_chain(A / A.sum(axis=1, keepdims=True)))))
+    out = tmp_path / "s.json"
+    build_parser()
+    tracemalloc.start()
+    try:
+        assert main(["spectral", "--chain", str(path), "--k", "2000", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(json.loads(out.read_text())["data"]["power_deviation_norms"]) == 2000
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (["spectral", "--k", "3"], {"load", "norms", "render"}),
+    (["verify"], {"load", "spectral", "oracle", "render"}),
+])
+def test_spectral_and_verify_report_timings_and_diagnostics(tmp_path, chain_file, argv, stages):
+    """Stage timings and the stationary residual sit in the manifest; the data
+    section repeats byte for byte."""
+    chain, _ = load_chain(chain_file)
+    residual = float(np.abs(chain.stationary @ chain.transition - chain.stationary).max())
+    runs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert main(argv[:1] + ["--chain", chain_file] + argv[1:] + ["--output", str(out)]) == 0
+        text = out.read_text()
+        runs.append(text[:text.index('"manifest"')])
+        manifest = json.loads(text)["manifest"]
+        assert set(manifest["timings"]) == stages and min(manifest["timings"].values()) >= 0.0
+        assert sum(manifest["timings"].values()) <= manifest["duration_s"]
+        assert manifest["diagnostics"] == {"stationary_residual": residual}
+        assert not {"timings", "diagnostics"} & set(json.loads(text)["data"])
+    assert runs[0] == runs[1]
 
 
 def test_exact_subcommand_moments(tmp_path, chain_file):

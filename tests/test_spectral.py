@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mchoeffding import NormContext, contraction, opnorm, power_deviation, two_state_chain, validate_chain
+from mchoeffding import NormContext, contraction, deviation_norms, opnorm, two_state_chain, validate_chain
+from mchoeffding import spectral
 from mchoeffding.chain import averaging_operator
 from mchoeffding.errors import DimensionMismatch, OutOfRange
-from mchoeffding.spectral import spectral_norms
+from mchoeffding.spectral import l2_opnorms, spectral_norms
 
-from conftest import random_chain
+from conftest import random_chain, random_contractive_chain
 
 
 def test_contraction_of_averaging_chain_is_zero():
@@ -85,38 +86,88 @@ def test_interpolation_claim(n, seed):
     assert opnorm(T, ctx, 2) ** 2 <= opnorm(T, ctx, 1) * opnorm(T, ctx, np.inf) + 1e-9
 
 
-def test_power_deviation_examples():
-    chain = two_state_chain(0.5)
-    E = averaging_operator(chain)
-    np.testing.assert_allclose(power_deviation(chain, 1), chain.transition - E, atol=1e-14)
-    dev3 = power_deviation(chain, 3)
-    np.testing.assert_allclose(np.abs(dev3), 0.5**3 / 2, atol=1e-12)
-    ctx = NormContext(chain.stationary)
-    assert opnorm(dev3, ctx, 2) == pytest.approx(0.125, abs=1e-12)
+def test_deviation_norms_two_state_examples():
+    norms = deviation_norms(two_state_chain(0.5), 6)
+    np.testing.assert_allclose(norms, 0.5 ** np.arange(1, 7), rtol=0, atol=1e-12)
 
 
-def test_power_deviation_of_averaging_chain_is_zero():
+def test_deviation_norms_of_averaging_chain_are_zero():
     pi = np.array([0.25, 0.75])
     chain = validate_chain(np.tile(pi, (2, 1)), pi)
-    for k in (1, 2, 5):
-        assert np.abs(power_deviation(chain, k)).max() < 1e-13
+    assert np.abs(deviation_norms(chain, 5)).max() < 1e-13
 
 
-def test_power_deviation_identity_and_decay(rng):
+def test_deviation_norms_identity_and_decay(rng):
     for _ in range(5):
         chain = random_chain(rng, 4)
         E = averaging_operator(chain)
-        lam = contraction(chain)
         ctx = NormContext(chain.stationary)
+        norms = deviation_norms(chain, 20)
         for k in range(1, 21):
-            dev = power_deviation(chain, k)
-            assert np.abs(dev - np.linalg.matrix_power(chain.transition - E, k)).max() < 1e-10
-            assert opnorm(dev, ctx, 2) <= lam**k + 1e-9
+            oracle = opnorm(np.linalg.matrix_power(chain.transition - E, k), ctx, 2)
+            assert abs(norms[k - 1] - oracle) < 1e-10
+            assert norms[k - 1] <= norms[0] ** k + 1e-9
 
 
-def test_power_deviation_rejects_k_zero():
+def test_deviation_norms_reject_k_zero():
     with pytest.raises(OutOfRange):
-        power_deviation(two_state_chain(0.2), 0)
+        deviation_norms(two_state_chain(0.2), 0)
+
+
+def _slow_cycle(n, stay):
+    """Non-reversible: stay with probability `stay`, else step forward round the cycle."""
+    return (stay * np.eye(n) + (1 - stay) * np.roll(np.eye(n), 1, axis=1)).tolist()
+
+
+ADVERSARIAL = {
+    "near_periodic": validate_chain([[0.01, 0.99], [0.995, 0.005]]),
+    "slow_nonreversible_cycle": validate_chain(_slow_cycle(6, 0.9)),
+    "swap": validate_chain([[0, 1], [1, 0]], [0.5, 0.5]),
+    "reducible_with_pi": validate_chain([[0.3, 0.7, 0, 0], [0.7, 0.3, 0, 0],
+                                         [0, 0, 0.6, 0.4], [0, 0, 0.4, 0.6]],
+                                        [0.1, 0.1, 0.4, 0.4]),
+    "one_state": validate_chain([[1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_deviation_norms_match_an_independent_oracle(name):
+    """Carried powers against numpy's repeated squaring of A - E, one SVD per k."""
+    chain = ADVERSARIAL[name]
+    E = averaging_operator(chain)
+    ctx = NormContext(chain.stationary)
+    norms = deviation_norms(chain, 40)
+    oracle = [opnorm(np.linalg.matrix_power(chain.transition - E, k), ctx, 2)
+              for k in range(1, 41)]
+    np.testing.assert_allclose(norms, oracle, rtol=0, atol=1e-12)
+
+
+def test_deviation_norms_block_edges_are_bit_identical(rng):
+    """At N = 64 one block holds 16 powers: K on and either side of a block edge
+    gives, bit for bit, the per-k norms of the same carried powers."""
+    chain = random_chain(rng, 64)
+    assert spectral._BLOCK_ENTRIES // 64**2 == 16
+    E = averaging_operator(chain)
+    ctx = NormContext(chain.stationary)
+    P, per_k = chain.transition, []
+    for _ in range(33):
+        per_k.append(float(l2_opnorms(P - E, ctx)))
+        P = P @ chain.transition
+    for K in (15, 16, 17, 33):
+        norms = deviation_norms(chain, K)
+        assert norms.shape == (K,)
+        assert norms.tolist() == per_k[:K]
+
+
+def test_contraction_is_the_first_deviation_norm(rng):
+    """Bit for bit, and equal to one SVD of A - E."""
+    chains = [random_chain(rng, n) for n in (2, 3, 5, 8)]
+    chains += [random_contractive_chain(rng, n) for n in (2, 4)]
+    for chain in chains:
+        lam = contraction(chain)
+        assert lam == deviation_norms(chain, 1)[0]
+        assert lam == opnorm(chain.transition - averaging_operator(chain),
+                             NormContext(chain.stationary), 2)
 
 
 def test_contraction_invariant_under_relabeling(rng):
