@@ -24,7 +24,7 @@ from .chain import (
     two_state_chain,
     validate_chain,
 )
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .matrixlab import (
     CoefficientMatrix,
     FillOrder,

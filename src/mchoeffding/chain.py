@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import (
     DegenerateStationary,
     DimensionMismatch,
@@ -86,15 +86,15 @@ def _solve_stationary(A):
     return pi
 
 
-def validate_chain(transition, stationary=None, tol: Tolerances = DEFAULT_TOL) -> MarkovChain:
+def validate_chain(transition, stationary=None) -> MarkovChain:
     """Validate a transition matrix (and optional stationary vector) into a MarkovChain.
 
     When `stationary` is omitted it is solved for directly; a chain whose
     stationary distribution is not unique (a reducible chain) must supply it.
     Solved and supplied vectors pass the same checks: length N, every entry
-    above tol.degenerate_pi (chains with transient states are rejected rather
-    than pruned), sum 1 within tol.row_sum, and |pi A - pi| within
-    tol.stationarity.
+    above DEFAULT_TOL.degenerate_pi (chains with transient states are rejected
+    rather than pruned), sum 1 within DEFAULT_TOL.row_sum, and |pi A - pi| within
+    DEFAULT_TOL.stationarity.
     """
     A = _floats(transition, "transition")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -102,23 +102,23 @@ def validate_chain(transition, stationary=None, tol: Tolerances = DEFAULT_TOL) -
     if not np.all((A >= 0) & (A <= 1)):
         raise NonStochastic("transition entries must lie in [0, 1]")
     row_err = np.abs(A.sum(axis=1) - 1.0)
-    if np.any(row_err > tol.row_sum):
+    if np.any(row_err > DEFAULT_TOL.row_sum):
         raise NonStochastic(f"row sums off by up to {row_err.max():.3g}")
 
     pi = _solve_stationary(A) if stationary is None else _floats(stationary, "stationary")
     if pi.shape != (A.shape[0],):
         raise DimensionMismatch("stationary vector length must match the state count")
-    if not np.all(pi > tol.degenerate_pi):
+    if not np.all(pi > DEFAULT_TOL.degenerate_pi):
         raise DegenerateStationary(
             f"stationary entries must be strictly positive, got one as small as {pi.min():.3g}")
-    if abs(pi.sum() - 1.0) > tol.row_sum:
+    if abs(pi.sum() - 1.0) > DEFAULT_TOL.row_sum:
         raise NotStationary(f"stationary vector sums to {pi.sum():.12g}")
-    if np.abs(pi @ A - pi).max() > tol.stationarity:
+    if np.abs(pi @ A - pi).max() > DEFAULT_TOL.stationarity:
         raise NotStationary("stationary vector is not fixed by the transition matrix")
     return MarkovChain(transition=_freeze(A), stationary=_freeze(pi))
 
 
-def two_state_chain(lam: float, tol: Tolerances = DEFAULT_TOL) -> MarkovChain:
+def two_state_chain(lam: float) -> MarkovChain:
     """The symmetric two-state chain [[ (1+l)/2, (1-l)/2 ], [ (1-l)/2, (1+l)/2 ]].
 
     Its contraction parameter is exactly `lam`; the uniform distribution is
@@ -127,7 +127,7 @@ def two_state_chain(lam: float, tol: Tolerances = DEFAULT_TOL) -> MarkovChain:
     if not 0.0 <= lam < 1.0:
         raise OutOfRange(f"lam must lie in [0, 1), got {lam}")
     p, q = (1.0 + lam) / 2.0, (1.0 - lam) / 2.0
-    return validate_chain([[p, q], [q, p]], [0.5, 0.5], tol)
+    return validate_chain([[p, q], [q, p]], [0.5, 0.5])
 
 
 def sign_family(n: int) -> FunctionFamily:
@@ -138,8 +138,7 @@ def sign_family(n: int) -> FunctionFamily:
     return FunctionFamily(values=_freeze(values), bounds=_freeze(np.ones(n)))
 
 
-def make_family(values, bounds=None, chain: MarkovChain | None = None,
-                tol: Tolerances = DEFAULT_TOL) -> FunctionFamily:
+def make_family(values, bounds=None, chain: MarkovChain | None = None) -> FunctionFamily:
     """Build a FunctionFamily, defaulting bounds to max |f_i| and validating
     the mean-zero property against `chain` when supplied."""
     V = _floats(values, "function values")
@@ -161,7 +160,7 @@ def make_family(values, bounds=None, chain: MarkovChain | None = None,
     if chain is not None:
         check_width(fam, chain)
         largest = np.abs(fam.values @ chain.stationary).max()
-        if largest > tol.mean_zero:
+        if largest > DEFAULT_TOL.mean_zero:
             raise NotMeanZero(f"stationary means as large as {largest:.3g}")
     return fam
 
@@ -184,17 +183,17 @@ def chain_to_dict(chain: MarkovChain, funcs: FunctionFamily | None = None) -> di
     return out
 
 
-def chain_from_dict(data: dict, tol: Tolerances = DEFAULT_TOL):
+def chain_from_dict(data: dict):
     """Parse the JSON chain schema; returns (MarkovChain, FunctionFamily or None)."""
     if not isinstance(data, dict) or "transition" not in data:
         raise ValidationError("a chain must be a JSON object with a 'transition' field")
-    chain = validate_chain(data["transition"], data.get("stationary"), tol)
+    chain = validate_chain(data["transition"], data.get("stationary"))
     funcs = None
     if "functions" in data:
         f = data["functions"]
         if not isinstance(f, dict) or "values" not in f:
             raise ValidationError("'functions' must be an object with a 'values' field")
-        funcs = make_family(f["values"], f.get("bounds"), chain=chain, tol=tol)
+        funcs = make_family(f["values"], f.get("bounds"), chain=chain)
     return chain, funcs
 
 
@@ -208,5 +207,5 @@ def read_json(path):
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def load_chain(path, tol: Tolerances = DEFAULT_TOL):
-    return chain_from_dict(read_json(path), tol)
+def load_chain(path):
+    return chain_from_dict(read_json(path))

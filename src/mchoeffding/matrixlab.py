@@ -22,6 +22,7 @@ from .rng import normal_block, trial_seeds
 from .spectral import contraction, spectral_norms
 
 GAUSSIAN_TRIALS = 200   # Gaussian-counterpart matrices per experiment
+C_GRID = (0.5, 1.0, 2.0, 4.0)  # constants C of the reported bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +153,6 @@ class MatrixExperimentReport:
     sigma: float
     sigma_star: float
     b_norm: float
-    C_grid: tuple
     gaussian_mean: float
     sample_norms: np.ndarray
     mean_norm = property(lambda self: _mean_interval(self.sample_norms)[0])
@@ -172,8 +172,8 @@ class MatrixExperimentReport:
         """C -> min{C/sqrt(1-lam)(sigma+sigma* sqrt(log d)), ||B||}; empty unless lam < 1."""
         if not self.lam < 1.0:
             return {}
-        return {float(C): bound_matrix_schatten(self.sigma, self.sigma_star, self.d, self.lam,
-                                                self.b_norm, C) for C in self.C_grid}
+        return {C: bound_matrix_schatten(self.sigma, self.sigma_star, self.d, self.lam,
+                                         self.b_norm, C) for C in C_GRID}
 
     def to_dict(self):
         return {
@@ -198,10 +198,9 @@ def gaussian_counterpart_mean(B: CoefficientMatrix, trials: int, seed: int) -> f
 
 def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovChain,
                           f_values, cfg: SimConfig, lam: float | None = None,
-                          C_grid=(0.5, 1.0, 2.0, 4.0),
                           gaussian_trials: int = GAUSSIAN_TRIALS) -> MatrixExperimentReport:
     """Sample `cfg.trials` Markov-filled matrices and report mean spectral norm,
-    the Corollary-style bound over a C-grid, the fitted minimal C, and the
+    the Corollary-style bound at each C of C_GRID, the fitted minimal C, and the
     Gaussian-counterpart mean.
 
     All trials are walked at once by `sample_paths`, whose row t uses the t-th
@@ -217,5 +216,5 @@ def run_matrix_experiment(B: CoefficientMatrix, order: FillOrder, chain: MarkovC
     sigma, sigma_star, b_norm = B._norms
     return MatrixExperimentReport(
         d=B.d, lam=float(lam), trials=cfg.trials, master_seed=cfg.master_seed,
-        sigma=sigma, sigma_star=sigma_star, b_norm=b_norm, C_grid=tuple(C_grid),
+        sigma=sigma, sigma_star=sigma_star, b_norm=b_norm,
         gaussian_mean=gaussian_counterpart_mean(B, gaussian_trials, g_seed), sample_norms=norms)

@@ -211,9 +211,9 @@ def simulate_sums(chain: MarkovChain, funcs: FunctionFamily, cfg: SimConfig) -> 
 
 
 def _tail_table(values: np.ndarray, thresholds: np.ndarray):
-    """Per threshold t: the fraction of values >= t - 1e-12 and its Wilson interval; a NaN
-    value weighs 0, so it misses, and the sums of ones are exact integers in float64."""
-    hits = tail_mass(values, thresholds, 1.0 - np.isnan(values))
+    """Per threshold t: the fraction of values >= t - 1e-12 and its Wilson interval; the
+    values are never NaN (|S_n| of finite terms), and sums of ones are exact in float64."""
+    hits = tail_mass(values, thresholds, np.ones(len(values)))
     trials = len(values)
     ci = np.array([wilson_interval(int(h), trials) for h in hits]).reshape(-1, 2)
     return hits / trials, ci[:, 0], ci[:, 1]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import _admissible_sum, _check_w, _value, tail_mass
 from .chain import FunctionFamily, MarkovChain, check_width
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
     NotLattice,
@@ -142,7 +142,7 @@ def exact_mgf(chain: MarkovChain, funcs: FunctionFamily, theta: float) -> float:
     return total
 
 
-def _lattice_decomposition(funcs: FunctionFamily, tol: Tolerances):
+def _lattice_decomposition(funcs: FunctionFamily):
     """Write f_i(v) = f_i(0) + pitch * k_{i,v} with integer k.
 
     Only the within-function differences need to be rational: per-step offsets
@@ -156,8 +156,8 @@ def _lattice_decomposition(funcs: FunctionFamily, tol: Tolerances):
     fracs = [None] * uniq.size
     for u in np.argsort(first, kind="stable"):
         d = float(uniq[u])
-        fr = Fraction(d).limit_denominator(tol.lattice_max_denominator)
-        if abs(float(fr) - d) > tol.lattice_residual:
+        fr = Fraction(d).limit_denominator(DEFAULT_TOL.lattice_max_denominator)
+        if abs(float(fr) - d) > DEFAULT_TOL.lattice_residual:
             raise NotLattice(f"value difference {d!r} has no small rational form")
         fracs[u] = fr
     nonzero = [f for f in fracs if f != 0]
@@ -174,11 +174,10 @@ def _lattice_decomposition(funcs: FunctionFamily, tol: Tolerances):
     return pitch, base, K
 
 
-def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily,
-                         tol: Tolerances = DEFAULT_TOL) -> LatticeDistribution:
+def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDistribution:
     """Exact distribution of S_n by DP over (state, accumulated lattice index)."""
     check_width(funcs, chain)
-    pitch, base, K = _lattice_decomposition(funcs, tol)
+    pitch, base, K = _lattice_decomposition(funcs)
     N = chain.n_states
     if pitch is None:
         return _distribution(None, base, 0, None)
@@ -214,10 +213,9 @@ def _distribution(pitch, base, lo, probs) -> LatticeDistribution:
     return LatticeDistribution(float(pitch), base, offsets, probs[keep])
 
 
-def exact_tail(chain: MarkovChain, funcs: FunctionFamily, threshold: float,
-               tol: Tolerances = DEFAULT_TOL) -> float:
+def exact_tail(chain: MarkovChain, funcs: FunctionFamily, threshold: float) -> float:
     """Pr[|S_n| >= threshold], exact, for lattice-valued function families."""
-    return lattice_distribution(chain, funcs, tol).tail(threshold)
+    return lattice_distribution(chain, funcs).tail(threshold)
 
 
 def _path_probabilities(chain: MarkovChain, n: int) -> np.ndarray:
@@ -234,13 +232,12 @@ def _path_probabilities(chain: MarkovChain, n: int) -> np.ndarray:
     return prob
 
 
-def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily,
-                             tol: Tolerances = DEFAULT_TOL) -> LatticeDistribution:
+def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDistribution:
     """Enumerate all N^n trajectories; the independent ground truth for every
     transfer-DP oracle.  Shares only the lattice representation of the f
     values, never the DP recursion."""
     check_width(funcs, chain)
-    pitch, base, K = _lattice_decomposition(funcs, tol)
+    pitch, base, K = _lattice_decomposition(funcs)
     probs = _path_probabilities(chain, funcs.n_steps)
     if pitch is None:
         return _distribution(None, base, 0, None)
@@ -265,8 +262,7 @@ def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
     return float(np.sum((probs * vals).ravel()))
 
 
-def verify_holder_application(pi, u_vectors, T_matrices,
-                              tol: Tolerances = DEFAULT_TOL):
+def verify_holder_application(pi, u_vectors, T_matrices):
     """Both sides of the chained-Hoelder inequality
 
         |<1, U_1 (T_1 + E) U_2 ... U_k (T_k + E) U_{k+1} 1>_{L2(pi)}|
@@ -282,7 +278,7 @@ def verify_holder_application(pi, u_vectors, T_matrices,
     if k < 1 or len(us) != k + 1:
         raise DimensionMismatch("need k >= 1 matrices and k+1 vectors")
     for u in us:
-        if abs(float(pi @ u)) > tol.mean_zero:
+        if abs(float(pi @ u)) > DEFAULT_TOL.mean_zero:
             raise NotMeanZero("every u_i must satisfy pi . u_i = 0")
     E = np.tile(pi, (pi.size, 1))
     v = us[-1].copy()

@@ -342,11 +342,10 @@ def test_report_has_slots_and_derived_bounds():
     B = CoefficientMatrix(np.ones((4, 4)))
     cfg = SimConfig(trials=6, master_seed=9)
     rep = run_matrix_experiment(B, row_major_order(4), two_state_chain(0.5), [1.0, -1.0], cfg,
-                                lam=0.5, C_grid=[0.5, 3.0], gaussian_trials=3)
+                                lam=0.5, gaussian_trials=3)
     assert not hasattr(rep, "__dict__")
-    assert rep.C_grid == (0.5, 3.0)
-    assert set(rep.bound_by_C) == {0.5, 3.0}
-    assert list(rep.to_dict()["bound_by_C"]) == ["0.5", "3.0"]
+    assert list(rep.bound_by_C) == [0.5, 1.0, 2.0, 4.0]
+    assert list(rep.to_dict()["bound_by_C"]) == ["0.5", "1.0", "2.0", "4.0"]
     at_one = run_matrix_experiment(B, row_major_order(4), two_state_chain(0.5), [1.0, -1.0],
                                    cfg, lam=1.0, gaussian_trials=3)
     assert at_one.bound_by_C == {} and at_one.to_dict()["bound_by_C"] == {}

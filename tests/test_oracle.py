@@ -20,7 +20,6 @@ from mchoeffding import (
     verify_holder_application,
 )
 from mchoeffding.bounds import bound_monomial
-from mchoeffding.config import Tolerances
 from mchoeffding.errors import (
     DimensionMismatch,
     NotLattice,
@@ -190,11 +189,12 @@ def test_exact_tail_matches_brute_force(rng):
 
 
 def test_non_lattice_values_rejected():
+    """A difference with no rational form of denominator at most 10^6 within 1e-9."""
     chain = two_state_chain(0.4)
-    funcs = make_family([[0.03, -0.03]], chain=chain)
-    tight = Tolerances(lattice_max_denominator=10)
-    with pytest.raises(NotLattice):
-        lattice_distribution(chain, funcs, tight)
+    funcs = make_family([[1e-7, -1e-7]], chain=chain)
+    for oracle in (lattice_distribution, brute_force_distribution):
+        with pytest.raises(NotLattice, match="-2e-07 has no small rational form"):
+            oracle(chain, funcs)
 
 
 def test_lattice_with_huge_common_denominator_is_too_large():

@@ -3,6 +3,7 @@ and its output is parsed."""
 
 import csv
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -44,11 +45,36 @@ def test_matrix_study(capsys):
     assert captured.err.count("fitted C=") == 2
 
 
+# the keys that earlier BENCH_*.json records hold, kept so that runs stay comparable
+WALK_KEYS = {f"mc_tail.{name}" for name in
+             ("draws", "lookup", "fallback", "accumulate", "simulate_sums")} | {
+    "search_T300.simulate_sums", "search_T5000.simulate_sums", "scan.sample_paths"}
+
+
 def test_walk_layers(capsys):
     _load("walk_layers").main(["--repeats", "1", "--scale", "0.01"])
     blob = json.loads(capsys.readouterr().out)
-    assert blob["mirror_matches"] is True
-    layers = {"draws", "lookup", "fallback", "accumulate", "simulate_sums"}
-    assert set(blob["median_ms"]) == {f"mc_tail.{name}" for name in layers} | {
-        "search_T300.simulate_sums", "search_T5000.simulate_sums", "scan.sample_paths"}
-    assert all(math.isfinite(ms) and ms >= 0 for ms in blob["median_ms"].values())
+    assert blob["traced_matches"] is True
+    ms = blob["median_ms"]
+    assert WALK_KEYS <= set(ms)
+    assert all(math.isfinite(v) for v in ms.values())
+    # each shape reaches the layers of the kernel it takes; a renamed function would read 0
+    for shape, layers in [("mc_tail", ("draws", "lookup", "fallback", "build", "accumulate")),
+                          ("search_T300", ("draws", "search", "build", "accumulate")),
+                          ("search_T5000", ("draws", "search", "build", "accumulate")),
+                          ("scan", ("draws", "scan"))]:
+        assert all(ms[f"{shape}.{layer}"] > 0 for layer in layers), shape
+
+
+def test_walk_layers_names_resolve():
+    """Every allow-listed layer function exists under its name, and every span name the
+    attribution table reads is one the recorder wraps."""
+    script = _load("walk_layers")
+    for name, fn in script.layer_functions().items():
+        module, attr = name.split(".")
+        assert inspect.isfunction(fn), name
+        assert (fn.__module__, fn.__name__) == (f"mchoeffding.{module}", attr)
+    wrapped = script.recorder().functions
+    for name, parent in script.LAYERS:
+        assert {name, parent} - {"*", "walk", None} <= set(wrapped)
+    assert set(script.WALKS) <= set(wrapped)
