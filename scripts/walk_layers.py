@@ -10,8 +10,9 @@ LAYER_FUNCTIONS, and once untraced, timed whole (the "<shape>.simulate_sums" and
 by (name, parent name) in LAYERS:
 
     draws       `hash_block`, and `_premix`, `_finish` and `_mantissa` called by the walk
-    lookup      `_guided_step`'s self time: one guide take per step and the miss scan
-    fallback    everything under `_guided_step`: `_finish` and `_step` for missed trials
+    lookup      `_guided_step`'s self time: one level-1 take per step and the miss scan
+    fallback    everything under `_guided_step`: `_second_level`'s level-2 take for the
+                trials on a straddled bucket, and `_finish` and `_step` for those on a -1
     search      `_step` called by the walk: the binary-search step loop
     scan        `_scan_walk` with its children: the prefix scan
     build       `_guide` and `_cdf_table` outside the scan
@@ -52,8 +53,8 @@ F = [1.0, -1.0, 0.5, -0.5]
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # Private layer functions the recorder wraps beside the public ones.
 LAYER_FUNCTIONS = ("rng._premix", "rng._finish", "rng._mantissa", "montecarlo._guided_step",
-                   "montecarlo._step", "montecarlo._guide", "montecarlo._cdf_table",
-                   "montecarlo._scan_walk")
+                   "montecarlo._second_level", "montecarlo._step", "montecarlo._guide",
+                   "montecarlo._cdf_table", "montecarlo._scan_walk")
 WALKS = ("montecarlo.simulate_sums", "montecarlo.sample_paths")
 # (span name, parent name) -> layer, where "walk" is either walk call and "*" any span.
 # A span counts with its children, but for the SELF_TIME layers without them.

@@ -9,7 +9,12 @@ fixed configuration regardless of batching.
 Both walk kernels compare hash mantissas with integer CDF thresholds (`_thresholds`)
 and agree bit for bit.  The step loop (`_steps`) yields each step's states from hash
 blocks in two reused buffers (`rng.uniform_steps`): O(trials * block) memory.
-Wide, long walks look steps up in a guide table (`_guide`; Chen and Asau, 1974).
+Wide, long walks look steps up in a two-level guide table (`_guide`; Chen and Asau, 1974):
+level 1 by a hash's top k bits and, in a bucket that straddles a CDF threshold, level 2 by
+the next k2 bits, k + k2 <= 31 bits that the unfinished hashes already hold final; only a
+sub-bucket that still straddles takes the binary search.  These walks carry states as
+s << k, so a step's index is states | (z >> (64 - k)); `simulate_sums` reads f_i from a
+table spread the same way, and `_paths` shifts its filled array back once.
 `_paths` takes the prefix scan (`_scan_walk`) for at most _SCAN_WIDTH (trial,
 state) pairs, where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
 """
@@ -125,32 +130,65 @@ def _step(table: np.ndarray, bits: int, states: np.ndarray, m: np.ndarray) -> np
     return pos & ((1 << bits) - 1)
 
 
+def _bucket_states(table: np.ndarray, bits: int, index: np.ndarray, depth: int, k: int):
+    """Per index (s << depth) | b: t << k for the next state t from s at every mantissa whose
+    top depth bits are b, or -1 where it differs at the bucket's ends; exact, as `_step` is
+    monotone in m."""
+    states, low = index >> depth, (index & (1 << depth) - 1) << (52 - depth)
+    last = _step(table, bits, states, low | (1 << (52 - depth)) - 1)
+    return np.where(_step(table, bits, states, low) == last, last << k, -1)
+
+
 def _guide(table: np.ndarray, bits: int):
-    """(guide, k): entry (s << k) | b is the next state from s at every mantissa with top k
-    bits b, or -1 if it differs at the bucket's ends; exact, as `_step` is monotone in m."""
+    """(guide, k, sub, k2): the guided walk's two tables, over states carried as s << k.
+
+    Level 1, guide[(s << k) | b], holds next << k for the next state from s at every
+    mantissa with top k bits b.  A bucket that straddles a threshold holds a negative code
+    instead: code + (the mantissa's top k + k2 bits) is a negative index into sub, within
+    the bucket's 2^k2 entries.  Level 2, sub, holds next << k per sub-bucket, or -1 where it
+    still straddles; k2 is the largest with straddled buckets * 2^k2 <= 2^_GUIDE_BITS and
+    k + k2 <= 31, so no level 2 exists where no bucket straddles."""
     k = _GUIDE_BITS - bits
-    states = np.repeat(np.arange(table.size >> bits), 1 << k)
-    low = np.tile(np.arange(1 << k) << (52 - k), table.size >> bits)
-    first = _step(table, bits, states, low | (1 << (52 - k)) - 1)
-    return np.where(_step(table, bits, states, low) == first, first, -1), k
+    guide = _bucket_states(table, bits, np.arange(table.size >> bits << k), k, k)
+    straddled = (guide < 0).nonzero()[0]
+    k2 = min(31 - k, _GUIDE_BITS - (max(straddled.size, 1) - 1).bit_length())
+    sub = _bucket_states(table, bits, (straddled[:, None] << k2 | np.arange(1 << k2)).ravel(),
+                         k + k2, k)
+    # sub-table j spans sub[(j - count) 2^k2:][:2^k2]; the code cancels the bucket's top k bits
+    bucket = straddled & (1 << k) - 1
+    guide[straddled] = (np.arange(straddled.size) - straddled.size - bucket) * (1 << k2)
+    return guide, k, sub, k2
 
 
-def _guided_step(table, bits, guide, k, states, z):
-    """`_step` at `_premix` hashes z: one lookup by their final top k bits, `_step` past a -1."""
-    nxt = guide.take(states << k | (z >> (64 - k)).view(np.int64), mode="clip")
+def _guided_step(table, bits, guide, k, sub, k2, states, z):
+    """`_step` at `_premix` hashes z, on and to states s << k: one level-1 lookup by the hashes'
+    final top k bits, `_second_level` past a straddled bucket."""
+    nxt = guide.take(states | (z >> (64 - k)).view(np.int64), mode="clip")
     miss = (nxt < 0).nonzero()[0]
     if miss.size:
-        nxt[miss] = _step(table, bits, states[miss], _mantissa(_finish(z[miss])))
+        nxt[miss] = _second_level(table, bits, sub, k, k2, states[miss], z[miss], nxt[miss])
+    return nxt
+
+
+def _second_level(table, bits, sub, k, k2, states, z, code):
+    """Straddled trials' next states << k: one level-2 lookup by their hashes' final top
+    k + k2 bits, `_step` past a -1."""
+    nxt = sub.take(code + (z >> (64 - k - k2)).view(np.int64))
+    miss = (nxt < 0).nonzero()[0]
+    if miss.size:
+        nxt[miss] = _step(table, bits, states[miss] >> k, _mantissa(_finish(z[miss]))) << k
     return nxt
 
 
 def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
-    """Iterator over the C-contiguous state vector of all trials at steps 1..n.
+    """(iterator, shift): an iterator over the C-contiguous vector of all trials' states
+    << shift at steps 1..n.
 
     Trial t uses the counter stream of seeds[t]: its first state inverts the
     stationary CDF at uniform 1, and state k inverts the transition row of
     state k-1 at uniform k, each used before the next is drawn (`uniform_steps`).
-    Wide, long walks of at most 64 states read the guide table (`_guided_step`)."""
+    Wide, long walks of at most 64 states read the guide tables (`_guided_step`) with
+    states shifted by their k; any other walk searches every row (`_step`), shift 0."""
     if n < 1:
         raise OutOfRange("n must be at least 1")
     first = _first_states(chain, _mantissa(hash_block(seeds, 1)[:, 0]))
@@ -158,11 +196,14 @@ def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
     blocks = uniform_steps(seeds, n, rows, start=1)
     table, bits = _cdf_table(chain.transition)
     if 2 * bits < _GUIDE_BITS and _GUIDE_TRIALS <= len(seeds) >= _GUIDE_WORK / n:
-        step = functools.partial(_guided_step, table, bits, *_guide(table, bits))
+        levels = _guide(table, bits)
+        step, shift = functools.partial(_guided_step, table, bits, *levels), levels[1]
     else:
-        step, tmp = functools.partial(_step, table, bits), np.empty((rows, len(seeds)), np.uint64)
+        step, shift = functools.partial(_step, table, bits), 0
+        tmp = np.empty((rows, len(seeds)), np.uint64)
         blocks = (_mantissa(_finish(z, tmp[:len(z)])) for z in blocks)
-    return itertools.accumulate(itertools.chain.from_iterable(blocks), step, initial=first)
+    steps = itertools.chain.from_iterable(blocks)
+    return itertools.accumulate(steps, step, initial=first << shift), shift
 
 
 def _scan_walk(chain: MarkovChain, m: np.ndarray) -> np.ndarray:
@@ -184,11 +225,14 @@ def _scan_walk(chain: MarkovChain, m: np.ndarray) -> np.ndarray:
 
 def _paths(chain: MarkovChain, seeds: np.ndarray, n: int) -> np.ndarray:
     """(len(seeds), n) state paths: the prefix scan for a few, else the transpose
-    of the step-major array that `_steps` fills one row at a time."""
+    of the step-major array that `_steps` fills one row at a time, shifted back once."""
     width = len(seeds) * chain.n_states
     if width <= _SCAN_WIDTH and 0 < n * width <= _BLOCK_DRAWS:  # n < 1: `_steps` raises
         return _scan_walk(chain, _mantissa(hash_block(seeds, n)))
-    return np.fromiter(_steps(chain, seeds, n), np.dtype((np.int64, len(seeds))), n).T
+    steps, shift = _steps(chain, seeds, n)
+    paths = np.fromiter(steps, np.dtype((np.int64, len(seeds))), n)
+    paths >>= shift
+    return paths.T
 
 
 def sample_path(chain: MarkovChain, n: int, seed: int) -> np.ndarray:
@@ -203,9 +247,13 @@ def sample_paths(chain: MarkovChain, n: int, cfg: SimConfig) -> np.ndarray:
 
 def simulate_sums(chain: MarkovChain, funcs: FunctionFamily, cfg: SimConfig) -> np.ndarray:
     """Per-trial realizations of S_n = sum_i f_i(Y_i), accumulated step by step."""
-    seeds = trial_seeds(cfg.master_seed, cfg.trials)
+    steps, shift = _steps(chain, trial_seeds(cfg.master_seed, cfg.trials), funcs.n_steps)
+    spread = np.zeros(chain.n_states << shift)  # entry s << shift is f_i(s)
     S = np.zeros(cfg.trials)
-    for f, states in zip(funcs.values, _steps(chain, seeds, funcs.n_steps)):
+    for f, states in zip(funcs.values, steps):
+        if shift:
+            spread[::1 << shift] = f
+            f = spread
         np.add(S, f.take(states), out=S)
     return S
 

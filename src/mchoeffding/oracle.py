@@ -235,12 +235,13 @@ def _path_probabilities(chain: MarkovChain, n: int) -> np.ndarray:
 def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDistribution:
     """Enumerate all N^n trajectories; the independent ground truth for every
     transfer-DP oracle.  Shares only the lattice representation of the f
-    values, never the DP recursion."""
+    values, never the DP recursion.  A deterministic S_n is its point mass,
+    whatever N^n."""
     check_width(funcs, chain)
     pitch, base, K = _lattice_decomposition(funcs)
-    probs = _path_probabilities(chain, funcs.n_steps)
     if pitch is None:
         return _distribution(None, base, 0, None)
+    probs = _path_probabilities(chain, funcs.n_steps)
     idx = K[0]
     for k in K[1:]:
         idx = idx[..., None] + k

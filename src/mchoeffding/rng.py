@@ -6,7 +6,8 @@ streams are independent of execution order, and any range of a stream's
 counters can be drawn on its own, bit-identical to the same columns of the
 full block.  `uniform_steps` yields pre-final hashes, counter-major in two reused
 buffers: splitmix64 stops before its last xor-shift (`_premix`), which would leave
-their top 31 bits as they are, and `_finish` completes the hashes where needed.
+their top 31 bits as they are, and `_finish` completes the hashes where needed.  The
+guided walk reads its two guide levels from those final bits, k + k2 <= 31 of them.
 """
 
 import numpy as np

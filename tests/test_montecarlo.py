@@ -31,6 +31,7 @@ from mchoeffding.montecarlo import (
     _guide,
     _guided_step,
     _scan_walk,
+    _second_level,
     _step,
     _steps,
     _tail_table,
@@ -263,7 +264,8 @@ def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
             # both kernels on every size, then the one the rule picks
             mantissas = (hash_block(seeds, n) >> 12).view(np.int64)
             np.testing.assert_array_equal(_scan_walk(chain, mantissas), ref)
-            np.testing.assert_array_equal(np.array(list(_steps(chain, seeds, n))).T, ref)
+            steps, shift = _steps(chain, seeds, n)
+            np.testing.assert_array_equal((np.array(list(steps)) >> shift).T, ref)
             scanned.clear()
             np.testing.assert_array_equal(sample_paths(chain, n, SimConfig(trials, 41)), ref)
             assert scanned == ([(trials, n)] if trials <= edge else [])
@@ -335,9 +337,12 @@ def _guide_chains():
     dyadic = [[0.25, 0.5, 0.25], [0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]
     # 1/2 - 3 * 2^-53 has threshold 2^51 - 1, the last mantissa of a 4-state guide bucket
     top = [0.5 - 3 * 2.0**-53, 3 * 2.0**-53, 0.25, 0.25]
+    # 0.3 and 0.3 + 1e-12 fall inside one level-2 sub-bucket of row 0 at every depth up to 31
+    pair = [[0.3, 1e-12, 0.2, 0.5 - 1e-12], [0.1, 0.6, 0.2, 0.1], [0.25] * 4, [0.7, 0.1, 0.1, 0.1]]
     rng = np.random.default_rng(64)
     return {
         "bucket_top": _doubly_stochastic([np.roll(top, i) for i in range(4)]),
+        "sub_bucket_pair": validate_chain(pair),
         "tiny_probabilities": validate_chain(tiny),
         "dyadic": _doubly_stochastic(dyadic),
         "zero_entries": WALK_CHAINS["zero_entries"],
@@ -362,27 +367,69 @@ def _unfinish(x):
     return x ^ (x >> np.uint64(31)) ^ (x >> np.uint64(62))
 
 
-@pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
-def test_guided_step_is_exact_at_bucket_edges(name):
-    """Every state at the smallest and largest hash of every bucket, and one past each."""
-    chain = GUIDE_CHAINS[name]
-    table, bits = _cdf_table(chain.transition)
-    guide, k = _guide(table, bits)
-    assert guide.size == chain.n_states << k and k == _GUIDE_BITS - bits
-    top = np.arange(1 << k, dtype=np.uint64) << (64 - k)
-    edges = np.concatenate([top, top - 1, top | np.uint64(2**64 - 1) >> k, top + 1])
-    states = np.repeat(np.arange(chain.n_states), edges.size)
-    z = np.tile(edges, chain.n_states)
+def _edge_hashes(depth, buckets):
+    """The smallest and largest hash of each bucket of the top depth bits, and one past each."""
+    top = np.asarray(buckets, dtype=np.uint64) << np.uint64(64 - depth)
+    return np.concatenate([top, top - np.uint64(1), top | np.uint64(2**64 - 1) >> np.uint64(depth),
+                           top + np.uint64(1)])
+
+
+def _check_guided_step(chain, tables, states, z):
+    """`_guided_step` on `_premix` preimages of hashes z from states, against the float walk."""
+    table, bits, guide, k, sub, k2 = tables
     premixed = _unfinish(z)
     np.testing.assert_array_equal(_finish(premixed.copy()), z)
-    np.testing.assert_array_equal(_guided_step(table, bits, guide, k, states, premixed),
-                                  _count_up_to_last(chain, states, _to_unit(z.copy())))
+    nxt = _guided_step(table, bits, guide, k, sub, k2, states << k, premixed)
+    np.testing.assert_array_equal(nxt & (1 << k) - 1, 0)
+    np.testing.assert_array_equal(nxt >> k, _count_up_to_last(chain, states, _to_unit(z.copy())))
+
+
+@pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
+def test_guided_step_is_exact_at_bucket_edges(name, monkeypatch):
+    """Every state at the edges of every level-1 bucket, each straddled bucket's state at the
+    edges of every level-2 sub-bucket, and every row at its thresholds and their neighbours."""
+    chain = GUIDE_CHAINS[name]
+    table, bits = _cdf_table(chain.transition)
+    tables = (table, bits, *_guide(table, bits))
+    guide, k, sub, k2 = tables[2:]
+    straddled = (guide < 0).nonzero()[0]
+    assert guide.size == chain.n_states << k and k == _GUIDE_BITS - bits
+    assert sub.size == straddled.size << k2 <= 1 << _GUIDE_BITS and k + k2 <= 31
+    assert straddled.size << (k2 + 1) > 1 << _GUIDE_BITS or k2 == 31 - k or not straddled.size
+    calls = []
+    monkeypatch.setattr(montecarlo, "_step", lambda *a: calls.append(len(a[2])) or _step(*a))
+    edges = _edge_hashes(k, np.arange(1 << k))
+    _check_guided_step(chain, tables, np.repeat(np.arange(chain.n_states), edges.size),
+                       np.tile(edges, chain.n_states))
+    sub_buckets = (straddled[:, None] << k2 | np.arange(1 << k2)).ravel()
+    edges = _edge_hashes(k + k2, sub_buckets & (1 << (k + k2)) - 1)
+    _check_guided_step(chain, tables, np.tile(sub_buckets >> (k + k2), 4), edges)
+    T = table.reshape(chain.n_states, -1)[:, :chain.n_states - 1]
+    m = np.clip(T[..., None] + [-1, 0, 1], 0, _TOP_MANTISSA).reshape(chain.n_states, -1)
+    z = m.astype(np.uint64) << np.uint64(12) | np.uint64(0xABC)  # the low bits play no part
+    _check_guided_step(chain, tables, np.arange(chain.n_states).repeat(m.shape[1]), z.ravel())
+    assert bool(calls) == bool((sub < 0).any())  # `_step` runs exactly past a level-2 -1
     if name == "tiny_probabilities":
-        assert guide[0] == -1 and guide[1] == 3   # three values in bucket 0, none in 1
-    if name == "dyadic":
-        assert guide.min() >= 0                   # every value lies on a bucket edge
+        assert guide[0] < 0 and guide[1] == 3 << k  # three values in bucket 0, none in 1
+    if name == "dyadic" or chain.n_states == 1:
+        assert sub.size == 0 and guide.min() >= 0   # every value lies on a bucket edge
     if name == "bucket_top":
-        assert guide[(1 << (k - 1)) - 1] == -1    # the last mantissa of the bucket moves on
+        assert guide[(1 << (k - 1)) - 1] < 0        # the last mantissa of the bucket moves on
+        assert sub[(1 << k2) - 1] == -1             # and of its last sub-bucket
+    if name == "sub_bucket_pair":
+        assert sub.min() == -1 and calls
+
+
+def test_level_two_size_cap():
+    """64 states whose 63 thresholds each straddle a level-1 bucket of their own: the most
+    straddled buckets any chain can have, 64 * 63, with 2^2 sub-buckets each."""
+    cum = (4 * np.arange(63) + 2.3) / 256
+    row = np.diff(cum, prepend=0.0, append=1.0)
+    table, bits = _cdf_table(validate_chain(np.tile(row, (64, 1)), row).transition)
+    guide, k, sub, k2 = _guide(table, bits)
+    assert (k, (guide < 0).sum(), k2) == (8, 64 * 63, 2)
+    assert sub.size == 64 * 63 << 2 <= 1 << _GUIDE_BITS < 64 * 63 << 3
+    assert (sub < 0).sum() == 64 * 63                 # 2.3 / 256 straddles its sub-bucket too
 
 
 @pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
@@ -392,17 +439,23 @@ def test_guided_walk_matches_seed_walk(name, monkeypatch):
     n = -(-_GUIDE_WORK // trials)  # the shortest walk that builds the guide
     cfg = SimConfig(trials=trials, master_seed=41)
     ref = seed_walk(chain, _reference_uniforms(cfg.master_seed, trials, n))
-    sizes = []
+    table, bits = _cdf_table(chain.transition)
+    guide, k, sub, k2 = _guide(table, bits)
+    sizes, level_two = [], []
     monkeypatch.setattr(montecarlo, "_step", lambda *a: sizes.append(len(a[2])) or _step(*a))
+    monkeypatch.setattr(montecarlo, "_second_level",
+                        lambda *a: level_two.append(len(a[5])) or _second_level(*a))
     np.testing.assert_array_equal(sample_paths(chain, n, cfg), ref)
     if chain.n_states <= 64:
-        # two calls build the guide on every (state, bucket); any later call is a fallback
-        k = _GUIDE_BITS - (chain.n_states - 1).bit_length()
-        assert sizes[:2] == [chain.n_states << k] * 2
-        assert all(0 < m < trials for m in sizes[2:])
-        assert sizes[2:] or name != "tiny_probabilities"
+        # two calls build level 1 on every (state, bucket), two level 2 on every straddled
+        # bucket's sub-buckets; any later call is a fallback past a level-2 -1
+        assert sizes[:4] == [chain.n_states << k] * 2 + [sub.size] * 2
+        assert all(0 < m < trials for m in level_two)
+        assert len(sizes[4:]) <= len(level_two) and all(0 < m < max(level_two) for m in sizes[4:])
+        assert level_two or name != "tiny_probabilities"
+        assert sizes[4:] or name != "random_64"
     else:
-        assert sizes == [trials] * (n - 1)
+        assert sizes == [trials] * (n - 1) and not level_two
     values = np.random.default_rng(n).normal(size=(n, chain.n_states))
     fam = FunctionFamily(values=values, bounds=np.abs(values).max(axis=1))
     np.testing.assert_array_equal(simulate_sums(chain, fam, cfg),

@@ -215,6 +215,24 @@ def test_brute_force_guard():
         brute_force_distribution(chain, sign_family(40))
 
 
+def test_deterministic_sum_skips_enumeration():
+    """A zero family makes S_n = 0 surely: both oracles return the point mass, with
+    N^n = 4^20 > 10^7 paths that the brute force would otherwise refuse to enumerate."""
+    chain = random_chain(np.random.default_rng(20), 4)
+    funcs = make_family(np.zeros((20, 4)), chain=chain)
+    tracemalloc.start()
+    try:
+        bf = brute_force_distribution(chain, funcs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    dp = lattice_distribution(chain, funcs)
+    for dist in (bf, dp):
+        assert dist.step == 0.0
+        assert dist.support.tolist() == [0.0] and dist.probabilities.tolist() == [1.0]
+
+
 def _itertools_paths(chain, n):
     """Every path as a row of an (N^n, n) array, with its probability
     multiplied left to right."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mchoeffding.montecarlo import _GUIDE_BITS, _block_steps
+from mchoeffding.montecarlo import _GUIDE_BITS, _block_steps, _cdf_table, _guide
 from mchoeffding.rng import (
     _GOLDEN,
     _finish,
@@ -20,6 +20,7 @@ from mchoeffding.rng import (
 )
 
 from conftest import M64, ref_splitmix64, ref_uniforms
+from test_montecarlo import GUIDE_CHAINS
 
 
 def test_reference_matches_published_splitmix64():
@@ -61,7 +62,8 @@ def test_hash_block_is_the_uniform_blocks_hashes(start, stop):
 
 def test_premix_keeps_the_final_top_31_bits():
     """splitmix64's last step z ^= z >> 31 leaves bits 63..33 alone, and bit 32 takes bit 63;
-    the guided walk reads at most _GUIDE_BITS top bits before that step."""
+    the guided walk reads at most k + k2 <= 31 top bits before that step, k at level 1 and k2
+    below them at level 2."""
     xs = [0, 1, 2**31 - 1, 2**32, 2**33 - 1, 2**63 - 1, 2**63, M64 - 1, M64]
     xs += [int(x) for x in np.random.default_rng(31).integers(0, 2**64, size=2000,
                                                               dtype=np.uint64)]
@@ -73,6 +75,10 @@ def test_premix_keeps_the_final_top_31_bits():
     np.testing.assert_array_equal(_finish(pre.copy()), full)
     assert np.any(pre >> np.uint64(32) != full >> np.uint64(32))
     assert _GUIDE_BITS <= 31
+    for chain in GUIDE_CHAINS.values():
+        table, bits = _cdf_table(chain.transition)
+        _, k, _, k2 = _guide(table, bits)
+        assert k + k2 <= 31
 
 
 @pytest.mark.parametrize("trials", [1, 7, 300, 20_000])
