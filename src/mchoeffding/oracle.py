@@ -3,14 +3,16 @@ and full lattice tail distributions via transfer-operator dynamic programming,
 with brute-force trajectory enumeration as the oracle of oracles.  A distribution
 answers a whole threshold grid with one `bounds.tail_mass` query (one sort).
 
-The enumeration never builds a (N^n, n) array of paths.  It broadcasts one
-step at a time: the path probabilities live in an (N,)*n array whose axis i
-is the state Y_{i+1}, grown by prob[..., None] * A, and per-path quantities
-(lattice indices, monomial factors) are broadcast along the same axes.
-Memory is O(N^n), and every path keeps its own product, so nothing is
-marginalised the way the DP does.
+The enumeration never builds a (N^n, n) array of paths.  It grows the path
+probabilities one step at a time in lexicographic order, each path's product
+taken left to right, so nothing is marginalised the way the DP does; rows of
+paths keep numpy's loops long (`_path_probabilities`).  The distribution joins
+integer lattice indices from two halves of the steps and bins the
+probabilities with one np.bincount: two N^n arrays at its peak, as the
+monomial's probabilities and factor table are.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +34,9 @@ from .spectral import NormContext, opnorm
 MAX_MOMENT_ORDER = 32          # keeps binomial coefficients exact in doubles
 MAX_BRUTE_FORCE_PATHS = 10**7
 MAX_LATTICE_POINTS = 4 * 10**7  # (state, index) cells of the lattice DP; index span of both
+# Entries per block of the oracles' long numpy loops: a row of enumerated paths
+# (the largest power of N up to this), or the powers f_i^j the moment DP holds.
+_BLOCK_ENTRIES = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,22 +115,36 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
     if q > MAX_MOMENT_ORDER:
         raise TooLarge(f"q = {q} exceeds the cap {MAX_MOMENT_ORDER}")
     A = chain.transition
-    orders = np.arange(q + 1)
-    pascal = np.array([[math.comb(m, j) for j in orders] for m in orders], dtype=float)
-    lag = np.maximum(orders[:, None] - orders[None, :], 0)
+    V = funcs.values
+    pascal, lag = _binomial_tables(q)
+    steps = max(1, _BLOCK_ENTRIES // ((q + 1) * chain.n_states))
     with np.errstate(over="ignore", invalid="ignore"):
-        # M[m, v] = E[S_k^m ; Y_k = v]
-        M = np.array([chain.stationary * funcs.values[0] ** m for m in range(q + 1)])
-        for f in funcs.values[1:]:
-            fpow = np.vander(f, q + 1, increasing=True).T      # fpow[j] = f^j
-            # terms[m, j] = C(m, j) f^j (M A)[m - j]; C(m, j) = 0 zeroes j > m.
-            # cumsum adds j = 0..m in order, like a sum started from +0.0,
-            # which the trailing + 0.0 matches in the sign of a zero total.
-            terms = pascal[:, :, None] * fpow * (M @ A)[lag]
-            M = np.cumsum(terms, axis=1)[:, -1] + 0.0
+        # M[m, v] = E[S_k^m ; Y_k = v]; pow gives f_1^m, which fpow's products would not match
+        M = chain.stationary * np.array([V[0] ** m for m in range(q + 1)])
+        for start in range(1, len(V), steps):
+            # fpow[i, j] = f^j for the next steps, multiplied up one power at a time as np.vander does
+            fpow = np.ones((len(V[start:start + steps]), q + 1, chain.n_states))
+            fpow[:, 1:] = V[start:start + steps, None]
+            np.multiply.accumulate(fpow, axis=1, out=fpow)
+            for f in fpow:
+                # terms[m, j] = C(m, j) f^j (M A)[m - j]; C(m, j) = 0 zeroes j > m.
+                # cumsum adds j = 0..m in order, like a sum started from +0.0,
+                # which the trailing + 0.0 matches in the sign of a zero total.
+                terms = pascal[:, :, None] * f * (M @ A)[lag]
+                M = np.cumsum(terms, axis=1)[:, -1] + 0.0
     if not np.all(np.isfinite(M)):
         raise Overflow("moment recursion left the representable range")
     return MomentTable(q=q, moments=M.sum(axis=1))
+
+
+@functools.cache
+def _binomial_tables(q):
+    """Read-only (q+1, q+1) tables C(m, j) and max(m - j, 0) of the moment recursion."""
+    orders = np.arange(q + 1)
+    pascal = np.array([[math.comb(m, j) for j in orders] for m in orders], dtype=float)
+    lag = np.maximum(orders[:, None] - orders[None, :], 0)
+    pascal.flags.writeable = lag.flags.writeable = False
+    return pascal, lag
 
 
 def exact_mgf(chain: MarkovChain, funcs: FunctionFamily, theta: float) -> float:
@@ -151,20 +170,29 @@ def _lattice_decomposition(funcs: FunctionFamily):
     V = funcs.values
     base = float(V[:, 0].sum())
     diffs = V - V[:, :1]
-    # one rational approximation per distinct difference, in order of first appearance
+    if np.abs(diffs).max() <= MAX_LATTICE_POINTS and np.all(diffs == np.rint(diffs)):
+        # integers: the ratios below would all be d/1, so the pitch is their gcd
+        K = diffs.astype(np.int64)
+        g = int(np.gcd.reduce(K, axis=None))
+        return (Fraction(g), base, K // g) if g else (None, base, K)
+    # one exact or rational-approximated ratio per distinct difference, in order of first appearance
     uniq, first, inverse = np.unique(diffs.ravel(), return_index=True, return_inverse=True)
-    fracs = [None] * uniq.size
-    for u in np.argsort(first, kind="stable"):
+    ratios = [None] * uniq.size
+    max_den = DEFAULT_TOL.lattice_max_denominator
+    for u in np.argsort(first, kind="stable").tolist():
         d = float(uniq[u])
-        fr = Fraction(d).limit_denominator(DEFAULT_TOL.lattice_max_denominator)
-        if abs(float(fr) - d) > DEFAULT_TOL.lattice_residual:
-            raise NotLattice(f"value difference {d!r} has no small rational form")
-        fracs[u] = fr
-    nonzero = [f for f in fracs if f != 0]
-    if not nonzero:
+        num, den = d.as_integer_ratio()
+        if den > max_den:
+            fr = Fraction(num, den).limit_denominator(max_den)
+            num, den = fr.numerator, fr.denominator
+            if abs(num / den - d) > DEFAULT_TOL.lattice_residual:
+                raise NotLattice(f"value difference {d!r} has no small rational form")
+        ratios[u] = num, den
+    dens = [den for num, den in ratios if num]
+    if not dens:
         return None, base, np.zeros_like(diffs, dtype=np.int64)
-    den_lcm = math.lcm(*(f.denominator for f in nonzero))
-    ints = [f.numerator * (den_lcm // f.denominator) for f in fracs]
+    den_lcm = math.lcm(*dens)
+    ints = [num * (den_lcm // den) for num, den in ratios]
     g = math.gcd(*ints)
     ks = [i // g for i in ints]
     if max(map(abs, ks)) > MAX_LATTICE_POINTS:  # before the int64 conversion can overflow
@@ -182,7 +210,6 @@ def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDi
     if pitch is None:
         return _distribution(None, base, 0, None)
     A = chain.transition
-    n = funcs.n_steps
     lo = int(np.minimum(K, 0).min(axis=1).sum())
     hi = int(np.maximum(K, 0).max(axis=1).sum())
     width = hi - lo + 1
@@ -190,13 +217,11 @@ def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDi
         raise TooLarge(f"lattice support of {width} points is too wide for the exact DP")
     # D[v, idx]: Pr[Y_k = v, sum index = idx + lo]
     D = np.zeros((N, width))
-    for v in range(N):
-        D[v, K[0, v] - lo] += chain.stationary[v]
-    for i in range(1, n):
+    D[np.arange(N), K[0] - lo] = chain.stationary
+    for shifts in K[1:].tolist():
         T = A.T @ D
         D = np.zeros_like(T)
-        for v in range(N):
-            s = int(K[i, v])
+        for v, s in enumerate(shifts):
             if s >= 0:
                 D[v, s:] = T[v, :width - s] if s else T[v]
             else:
@@ -222,32 +247,54 @@ def _path_probabilities(chain: MarkovChain, n: int) -> np.ndarray:
     """Pr[Y_1 = v_1, ..., Y_n = v_n] as an (N,)*n array, one step at a time.
 
     Each entry is pi(v_1) A(v_1, v_2) ... A(v_{n-1}, v_n), multiplied left to
-    right; C order lists the paths lexicographically, last step fastest."""
+    right; C order lists the paths lexicographically, last step fastest.  Path
+    p extends to p*N + v with weight A(p mod N, v), so once the paths fill a
+    row, a step multiplies every row by column v of A tiled to one row."""
     N = chain.n_states
     if N**n > MAX_BRUTE_FORCE_PATHS:
         raise TooLarge(f"{N}^{n} trajectories exceed the enumeration guard")
+    A = chain.transition
+    row = N
+    while 1 < N and row * N <= _BLOCK_ENTRIES:
+        row *= N
+    cols = np.tile(A.T, row // N) if row > N else None  # cols[v, p] = A(p mod N, v)
     prob = chain.stationary.copy()
     for _ in range(1, n):
-        prob = prob[..., None] * chain.transition
-    return prob
+        if cols is None or prob.size < row:
+            prob = (prob.reshape(-1, N, 1) * A).ravel()
+            continue
+        rows = prob.reshape(-1, row)
+        out = np.empty(rows.shape + (N,))
+        for v in range(N):
+            np.multiply(rows, cols[v], out=out[..., v])
+        prob = out.ravel()
+    return prob.reshape((N,) * n)
+
+
+def _index_sums(K) -> np.ndarray:
+    """sum_i K[i, v_i] over every index path (v_1, ...), in lexicographic order."""
+    return functools.reduce(lambda s, k: (s[:, None] + k).ravel(), K, np.zeros(1, np.int64))
 
 
 def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDistribution:
     """Enumerate all N^n trajectories; the independent ground truth for every
     transfer-DP oracle.  Shares only the lattice representation of the f
     values, never the DP recursion.  A deterministic S_n is its point mass,
-    whatever N^n."""
+    whatever N^n.
+
+    With each step's indices shifted to start at 0, the path indices are the
+    sums over the first and the last half of the steps joined by one outer
+    add, exact in integers, so the lowest index is the sum of the shifts."""
     check_width(funcs, chain)
     pitch, base, K = _lattice_decomposition(funcs)
     if pitch is None:
         return _distribution(None, base, 0, None)
     probs = _path_probabilities(chain, funcs.n_steps)
-    idx = K[0]
-    for k in K[1:]:
-        idx = idx[..., None] + k
-    idx = idx.ravel()
-    lo = int(idx.min())
-    return _distribution(pitch, base, lo, np.bincount(idx - lo, weights=probs.ravel()))
+    low = K.min(axis=1)
+    K = K - low[:, None]
+    half = len(K) // 2
+    idx = np.add.outer(_index_sums(K[:half]), _index_sums(K[half:])).ravel()
+    return _distribution(pitch, base, int(low.sum()), np.bincount(idx, weights=probs.ravel()))
 
 
 def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
@@ -256,11 +303,13 @@ def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:
     w = _check_w(w, funcs.n_steps)
     n = w[-1]
     probs = _path_probabilities(chain, n)
-    vals = np.ones(1)
+    # f_i(Y_i) varies along axis i - 1 only; vals spans axes w_1 - 1 .. n - 1
+    shape = np.ones(n - w[0] + 1, dtype=int)
+    shape[np.array(w) - w[0]] = chain.n_states
+    vals = np.ones(shape)
     for i in w:
-        # f_i(Y_i) varies along axis i - 1 only
-        vals = vals * funcs.values[i - 1].reshape((-1,) + (1,) * (n - i))
-    return float(np.sum((probs * vals).ravel()))
+        vals *= funcs.values[i - 1].reshape((-1,) + (1,) * (n - i))
+    return float(np.sum(np.multiply(probs, vals, out=probs).ravel()))
 
 
 def verify_holder_application(pi, u_vectors, T_matrices):

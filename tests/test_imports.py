@@ -13,12 +13,17 @@ STDLIB_IMPORTS = ("argparse", "dataclasses", "fractions", "functools", "itertool
                   "math", "numbers", "os", "sys", "tempfile", "time")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_INIT = ROOT / "src" / "mchoeffding" / "__init__.py"
 # Library definitions that only the tests call, each with the reason it is kept.
 TEST_ONLY = {
     "chain_to_dict": "writes the chain files that the CLI tests load",
     "brute_force_monomial": "reference oracle for the exact monomial expectation",
     "evaluate_projector_chain_claim": "appendix-claim evaluator for acceptance criterion 8",
     "evaluate_diagonal_chain_claim": "appendix-claim evaluator for acceptance criterion 8",
+    "bound_mgf": "MGF-step bound that acceptance criterion 5 checks",
+    "exact_mgf": "exact MGF oracle for acceptance criteria 1 and 5",
+    "verify_holder_application": "chained-Hoelder checker for acceptance criterion 8",
+    "bound_glss": "comparator that ROADMAP item 5 prints",
 }
 
 
@@ -58,12 +63,13 @@ def _referenced_names(paths):
 
 def test_every_library_definition_is_referenced():
     """Every top-level def or class of the library is reached from the library, the
-    scripts or the benchmark, or is listed in TEST_ONLY with its reason."""
+    scripts or the benchmark, or is listed in TEST_ONLY with its reason.  The
+    package's __init__.py only exports names, so its imports are not uses."""
     defined = {node.name for path in (ROOT / "src" / "mchoeffding").glob("*.py")
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     used = _referenced_names(path for folder in ("src", "scripts", "perfbench")
-                             for path in (ROOT / folder).rglob("*.py"))
+                             for path in (ROOT / folder).rglob("*.py") if path != PACKAGE_INIT)
     assert sorted(defined - used - set(TEST_ONLY)) == []
     # an entry that is gone, or that a caller now reaches, leaves the list
     assert sorted(set(TEST_ONLY) - (defined - used)) == []

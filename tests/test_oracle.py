@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mchoeffding import (
     verify_holder_application,
 )
 from mchoeffding.bounds import bound_monomial
+from mchoeffding.config import DEFAULT_TOL
 from mchoeffding.errors import (
     DimensionMismatch,
     NotLattice,
@@ -30,6 +32,8 @@ from mchoeffding.errors import (
     Unsorted,
 )
 from mchoeffding.oracle import (
+    MAX_LATTICE_POINTS,
+    _lattice_decomposition,
     brute_force_monomial,
     evaluate_diagonal_chain_claim,
     evaluate_projector_chain_claim,
@@ -285,6 +289,112 @@ def test_brute_force_guard_allocates_nothing(rng):
     finally:
         tracemalloc.stop()
     assert peak < 10**6          # 10^8 paths would need 800 MB for the probabilities alone
+
+
+@pytest.mark.parametrize("N,n", [(4, 10), (10, 6), (2, 20)])
+def test_enumeration_peak_memory(N, n):
+    """About 10^6 paths: each oracle holds at most two arrays of N^n entries (8 * N^n
+    bytes each) at once, the distribution its path probabilities and lattice indices,
+    the monomial its probabilities and a factor table, with w repeating its last index."""
+    rng = np.random.default_rng(N)
+    chain = random_chain(rng, N)
+    funcs = make_family(np.tile([[1.0, -1.0] + [0.0] * (N - 2)], (n, 1))
+                        + rng.integers(-2, 3, size=(n, N)))
+    w = list(range(1, n + 1)) + [n]
+    full = 8 * N**n
+    for call in (lambda: brute_force_distribution(chain, funcs),
+                 lambda: brute_force_monomial(chain, funcs, w)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * full, peak / full
+
+
+def _vander_moments(chain, funcs, q):
+    """E[S_n^m], m = 0..q, by the binomial recursion with per-step np.vander powers."""
+    A = chain.transition
+    orders = np.arange(q + 1)
+    pascal = np.array([[math.comb(m, j) for j in orders] for m in orders], dtype=float)
+    lag = np.maximum(orders[:, None] - orders[None, :], 0)
+    M = np.array([chain.stationary * funcs.values[0] ** m for m in range(q + 1)])
+    for f in funcs.values[1:]:
+        fpow = np.vander(f, q + 1, increasing=True).T
+        M = np.cumsum(pascal[:, :, None] * fpow * (M @ A)[lag], axis=1)[:, -1] + 0.0
+    return M.sum(axis=1)
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 8, 32])
+def test_moments_equal_vander_recursion_bit_for_bit(rng, q):
+    for _ in range(12):
+        N = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 9))
+        chain = random_chain(rng, N)
+        for funcs in (random_lattice_family(rng, chain, n) if N > 1 else make_family(np.zeros((n, 1))),
+                      make_family(rng.normal(size=(n, N)))):
+            got = exact_moments(chain, funcs, q).moments
+            assert got.tobytes() == _vander_moments(chain, funcs, q).tobytes(), (N, n, q)
+
+
+def _fraction_decomposition(funcs):
+    """(pitch, base, K) by a limit_denominator Fraction per distinct difference,
+    taken in order of first appearance."""
+    V = funcs.values
+    base = float(V[:, 0].sum())
+    diffs = V - V[:, :1]
+    uniq, first, inverse = np.unique(diffs.ravel(), return_index=True, return_inverse=True)
+    fracs = [None] * uniq.size
+    for u in np.argsort(first, kind="stable"):
+        d = float(uniq[u])
+        fr = Fraction(d).limit_denominator(DEFAULT_TOL.lattice_max_denominator)
+        if abs(float(fr) - d) > DEFAULT_TOL.lattice_residual:
+            raise NotLattice(f"value difference {d!r} has no small rational form")
+        fracs[u] = fr
+    nonzero = [f for f in fracs if f != 0]
+    if not nonzero:
+        return None, base, np.zeros_like(diffs, dtype=np.int64)
+    den_lcm = math.lcm(*(f.denominator for f in nonzero))
+    ints = [f.numerator * (den_lcm // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
+    ks = [i // g for i in ints]
+    if max(map(abs, ks)) > MAX_LATTICE_POINTS:
+        raise TooLarge(f"lattice indices span more than {MAX_LATTICE_POINTS} points")
+    return Fraction(g, den_lcm), base, np.array(ks, dtype=np.int64)[inverse].reshape(diffs.shape)
+
+
+def _outcome(decompose, funcs):
+    try:
+        pitch, base, K = decompose(funcs)
+    except (NotLattice, TooLarge) as err:
+        return type(err), str(err)
+    return pitch, base, K.dtype, K.tolist()
+
+
+def test_lattice_decomposition_equals_fraction_loop(rng):
+    # a zero family, a difference that rounds to 0, an exact binary fraction, integers
+    # past the index cap whose gcd brings them under it, and irrationals that pass with
+    # denominators near the denominator cap
+    families = [np.zeros((3, 2)), [[0.0, 1e-12], [0.0, 1.0]], [[0.0, 2.0**-19], [1.0, 0.0]],
+                [[0.0, 1e8], [0.0, -3e8]], [[0.0, 1.0], [0.0, math.sqrt(2.0)]], [[1.0, math.pi]]]
+    for _ in range(6):
+        n, N = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        families.append(rng.integers(-5, 6, size=(n, N)).astype(float))
+        families.append(rng.integers(-5, 6, size=(n, N)) * 1e6 + rng.integers(0, 9))
+        for den in (3, 7, 1000, 997 * 991):
+            families.append(rng.integers(-20, 21, size=(n, N)) / den + rng.normal(size=(n, 1)))
+    raises = [([[0.0, 1e-7]], NotLattice), ([[0.0, 2.0**-20]], NotLattice),
+              ([[0.0, 1.0], [0.0, 0.1234567891]], NotLattice),
+              ([[0.0, 1.0], [0.0, 5e7]], TooLarge), ([[0.0, 1e300], [0.0, 1.0]], TooLarge),
+              (prime_reciprocal_values(16), TooLarge)]
+    families += [values for values, _ in raises]
+    for values in families:
+        funcs = make_family(values)
+        assert _outcome(_lattice_decomposition, funcs) == _outcome(_fraction_decomposition, funcs)
+    for values, error in raises:
+        with pytest.raises(error):
+            _lattice_decomposition(make_family(values))
 
 
 def test_moments_match_brute_force_to_order_32(rng):
