@@ -34,8 +34,7 @@ from .spectral import NormContext, opnorm
 MAX_MOMENT_ORDER = 32          # keeps binomial coefficients exact in doubles
 MAX_BRUTE_FORCE_PATHS = 10**7
 MAX_LATTICE_POINTS = 4 * 10**7  # (state, index) cells of the lattice DP; index span of both
-# Entries per block of the oracles' long numpy loops: a row of enumerated paths
-# (the largest power of N up to this), or the powers f_i^j the moment DP holds.
+# Entries in a row of enumerated paths: the largest power of N up to this, N^2 at least.
 _BLOCK_ENTRIES = 2**10
 
 
@@ -117,21 +116,18 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
     A = chain.transition
     V = funcs.values
     pascal, lag = _binomial_tables(q)
-    steps = max(1, _BLOCK_ENTRIES // ((q + 1) * chain.n_states))
+    f = np.ones((q + 1, chain.n_states))  # f[j] = f_k^j, row 0 fixed at 1
     with np.errstate(over="ignore", invalid="ignore"):
-        # M[m, v] = E[S_k^m ; Y_k = v]; pow gives f_1^m, which fpow's products would not match
+        # M[m, v] = E[S_k^m ; Y_k = v]; pow gives f_1^m, which the products below would not match
         M = chain.stationary * np.array([V[0] ** m for m in range(q + 1)])
-        for start in range(1, len(V), steps):
-            # fpow[i, j] = f^j for the next steps, multiplied up one power at a time as np.vander does
-            fpow = np.ones((len(V[start:start + steps]), q + 1, chain.n_states))
-            fpow[:, 1:] = V[start:start + steps, None]
-            np.multiply.accumulate(fpow, axis=1, out=fpow)
-            for f in fpow:
-                # terms[m, j] = C(m, j) f^j (M A)[m - j]; C(m, j) = 0 zeroes j > m.
-                # cumsum adds j = 0..m in order, like a sum started from +0.0,
-                # which the trailing + 0.0 matches in the sign of a zero total.
-                terms = pascal[:, :, None] * f * (M @ A)[lag]
-                M = np.cumsum(terms, axis=1)[:, -1] + 0.0
+        for values in V[1:]:
+            f[1:] = values
+            np.multiply.accumulate(f, out=f)  # one power at a time, as np.vander does
+            # terms[m, j] = C(m, j) f^j (M A)[m - j]; C(m, j) = 0 zeroes j > m.
+            # cumsum adds j = 0..m in order, like a sum started from +0.0,
+            # which the trailing + 0.0 matches in the sign of a zero total.
+            terms = pascal[:, :, None] * f * (M @ A)[lag]
+            M = np.cumsum(terms, axis=1)[:, -1] + 0.0
     if not np.all(np.isfinite(M)):
         raise Overflow("moment recursion left the representable range")
     return MomentTable(q=q, moments=M.sum(axis=1))
@@ -170,24 +166,14 @@ def _lattice_decomposition(funcs: FunctionFamily):
     V = funcs.values
     base = float(V[:, 0].sum())
     diffs = V - V[:, :1]
-    if np.abs(diffs).max() <= MAX_LATTICE_POINTS and np.all(diffs == np.rint(diffs)):
-        # integers: the ratios below would all be d/1, so the pitch is their gcd
-        K = diffs.astype(np.int64)
-        g = int(np.gcd.reduce(K, axis=None))
-        return (Fraction(g), base, K // g) if g else (None, base, K)
-    # one exact or rational-approximated ratio per distinct difference, in order of first appearance
-    uniq, first, inverse = np.unique(diffs.ravel(), return_index=True, return_inverse=True)
-    ratios = [None] * uniq.size
-    max_den = DEFAULT_TOL.lattice_max_denominator
-    for u in np.argsort(first, kind="stable").tolist():
-        d = float(uniq[u])
-        num, den = d.as_integer_ratio()
-        if den > max_den:
-            fr = Fraction(num, den).limit_denominator(max_den)
-            num, den = fr.numerator, fr.denominator
-            if abs(num / den - d) > DEFAULT_TOL.lattice_residual:
-                raise NotLattice(f"value difference {d!r} has no small rational form")
-        ratios[u] = num, den
+    uniq, inverse = np.unique(diffs.ravel(), return_inverse=True)  # sorted
+    ratios = []
+    for d in uniq.tolist():
+        ratio = _small_ratio(d)
+        if ratio is None:  # name the first difference to appear without one
+            first = next(x for x in diffs.ravel().tolist() if _small_ratio(x) is None)
+            raise NotLattice(f"value difference {first!r} has no small rational form")
+        ratios.append(ratio)
     dens = [den for num, den in ratios if num]
     if not dens:
         return None, base, np.zeros_like(diffs, dtype=np.int64)
@@ -200,6 +186,18 @@ def _lattice_decomposition(funcs: FunctionFamily):
     pitch = Fraction(g, den_lcm)
     K = np.array(ks, dtype=np.int64)[inverse].reshape(diffs.shape)
     return pitch, base, K
+
+
+def _small_ratio(d: float):
+    """(num, den) with num / den = d exactly, or the nearest ratio with den up to
+    the lattice cap when that lies within the lattice residual; else None."""
+    num, den = d.as_integer_ratio()
+    if den > DEFAULT_TOL.lattice_max_denominator:
+        fr = Fraction(num, den).limit_denominator(DEFAULT_TOL.lattice_max_denominator)
+        num, den = fr.numerator, fr.denominator
+        if abs(num / den - d) > DEFAULT_TOL.lattice_residual:
+            return None
+    return num, den
 
 
 def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDistribution:
@@ -248,26 +246,21 @@ def _path_probabilities(chain: MarkovChain, n: int) -> np.ndarray:
 
     Each entry is pi(v_1) A(v_1, v_2) ... A(v_{n-1}, v_n), multiplied left to
     right; C order lists the paths lexicographically, last step fastest.  Path
-    p extends to p*N + v with weight A(p mod N, v), so once the paths fill a
-    row, a step multiplies every row by column v of A tiled to one row."""
+    p extends to p*N + v with weight A(p mod N, v): a step repeats each entry N
+    times and multiplies rows of up to one block by A's entries tiled to one
+    row, so numpy's loops run a row long whatever N."""
     N = chain.n_states
     if N**n > MAX_BRUTE_FORCE_PATHS:
         raise TooLarge(f"{N}^{n} trajectories exceed the enumeration guard")
-    A = chain.transition
-    row = N
-    while 1 < N and row * N <= _BLOCK_ENTRIES:
-        row *= N
-    cols = np.tile(A.T, row // N) if row > N else None  # cols[v, p] = A(p mod N, v)
+    width = N * N
+    while 1 < N and width * N <= _BLOCK_ENTRIES:
+        width *= N
+    pattern = np.tile(chain.transition.ravel(), width // (N * N))  # pattern[i] = A(i // N mod N, i mod N)
     prob = chain.stationary.copy()
     for _ in range(1, n):
-        if cols is None or prob.size < row:
-            prob = (prob.reshape(-1, N, 1) * A).ravel()
-            continue
-        rows = prob.reshape(-1, row)
-        out = np.empty(rows.shape + (N,))
-        for v in range(N):
-            np.multiply(rows, cols[v], out=out[..., v])
-        prob = out.ravel()
+        prob = np.repeat(prob, N)
+        rows = prob.reshape(-1, min(prob.size, width))  # both powers of N, at least N^2
+        np.multiply(rows, pattern[:rows.shape[1]], out=rows)
     return prob.reshape((N,) * n)
 
 

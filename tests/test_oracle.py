@@ -384,7 +384,9 @@ def test_lattice_decomposition_equals_fraction_loop(rng):
         families.append(rng.integers(-5, 6, size=(n, N)) * 1e6 + rng.integers(0, 9))
         for den in (3, 7, 1000, 997 * 991):
             families.append(rng.integers(-20, 21, size=(n, N)) / den + rng.normal(size=(n, 1)))
+    # the message names the first failing difference to appear, here not the smallest
     raises = [([[0.0, 1e-7]], NotLattice), ([[0.0, 2.0**-20]], NotLattice),
+              ([[0.0, 3e-7], [0.0, -2e-7]], NotLattice),
               ([[0.0, 1.0], [0.0, 0.1234567891]], NotLattice),
               ([[0.0, 1.0], [0.0, 5e7]], TooLarge), ([[0.0, 1e300], [0.0, 1.0]], TooLarge),
               (prime_reciprocal_values(16), TooLarge)]
