@@ -38,7 +38,7 @@ from .oracle import (
     lattice_distribution,
 )
 from .rng import uniform_block
-from .spectral import deviation_norms
+from .spectral import NormContext, deviation_norms, l2_opnorms, matrix_powers
 
 
 @dataclass
@@ -80,6 +80,7 @@ MAX_GRID_POINTS = 10**6
 MAX_POWERS = 10**4            # spectral --k
 MAX_TRIALS = 10**7            # simulate --trials
 MAX_MATRIX_DRAWS = 10**7      # matrix: (trials + Gaussian trials) x (d^2 + d) / 2 entries
+MAX_VERIFY_PATHS = 10**5      # verify runs its brute-force oracles up to N^n paths
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -229,32 +230,26 @@ def _cmd_verify(args, manifest):
     manifest.lap("load")
     tol = DEFAULT_TOL
     checks = {}  # name -> passed, in the order run
-    E = averaging_operator(chain)
-    A = chain.transition
-    pi = chain.stationary
+    A, pi, E = chain.transition, chain.stationary, averaging_operator(chain)
     checks["E_pi_projector"] = np.abs(E @ E - E).max() <= tol.projector
     checks["E_pi_commutes"] = (np.abs(E @ A - E).max() <= tol.projector
                                and np.abs(A @ E - E).max() <= tol.projector)
-    norms = deviation_norms(chain, 20)
+    # A^k and (A - E)^k for k = 1..20, each carried once: the power identity compares
+    # A^k - E with the independently built (A - E)^k, whose norms give lambda and decay.
+    powers, dev_powers = (np.stack(list(matrix_powers(M, 20))) for M in (A, A - E))
+    norms = l2_opnorms(dev_powers, NormContext(pi))
     lam = float(norms[0])
-    # A^k and (A - E)^k for k = 1..20, carried as two separate products: the
-    # power identity compares A^k - E with the independently built (A - E)^k.
-    powers, dev_powers = [A], [A - E]
-    for _ in range(19):
-        powers.append(powers[-1] @ A)
-        dev_powers.append(dev_powers[-1] @ (A - E))
-    powers = np.stack(powers)
     row_err = np.abs(powers.sum(axis=2) - 1.0).max(axis=1)
     stat_err = np.abs(pi @ powers - pi).max(axis=1)
-    identity_err = np.abs(powers - E - np.stack(dev_powers)).max(axis=(1, 2))
+    identity_err = np.abs(powers - E - dev_powers).max(axis=(1, 2))
     for k in range(1, 21):
         checks[f"row_stochastic_k{k}"] = row_err[k - 1] <= tol.row_sum
-        checks[f"stationary_k{k}"] = stat_err[k - 1] <= 1e-8
+        checks[f"stationary_k{k}"] = stat_err[k - 1] <= tol.stationary_powers
         checks[f"power_identity_k{k}"] = identity_err[k - 1] <= tol.entrywise_identity
         if lam < 1.0:
-            checks[f"decay_k{k}"] = norms[k - 1] <= lam**k + tol.inequality_slack
+            checks[f"decay_k{k}"] = norms[k - 1] <= lam**k * (1.0 + tol.inequality_slack)
     manifest.lap("spectral")
-    if funcs is not None and chain.n_states ** funcs.n_steps <= 10**5:
+    if funcs is not None and chain.n_states ** funcs.n_steps <= MAX_VERIFY_PATHS:
         bf = brute_force_distribution(chain, funcs)
         checks["oracle_tail"] = abs(exact_tail(chain, funcs, funcs.a_l2)
                                     - bf.tail(funcs.a_l2)) <= tol.oracle_agreement

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 class Tolerances:
     row_sum: float = 1e-9            # row-stochasticity of transition matrices
     stationarity: float = 1e-9       # |pi A - pi| per coordinate
+    stationary_powers: float = 1e-8  # |pi A^k - pi|, k <= 20: pi's residual adds up over k steps
     mean_zero: float = 1e-9          # |sum_v pi_v f_i(v)|
     degenerate_pi: float = 1e-12     # stationary entries at or below this are rejected
     projector: float = 1e-12         # E_pi identities

@@ -4,9 +4,9 @@ norms of its deviation powers.
 The L2(pi) operator norm of T equals the largest singular value of
 D^{1/2} T D^{-1/2} with D = diag(pi): conjugating by D^{1/2} turns the
 weighted norm into the Euclidean one, whose singular values come from
-numpy's LAPACK SVD.  `deviation_norms` is the one route to ||A^k - E_pi||:
-lambda is its first entry, and `spectral --k`, `verify` and the acceptance
-suite read the powers from it.
+numpy's LAPACK SVD.  `matrix_powers` carries every power sequence, and
+`deviation_norms` takes ||A^k - E_pi|| as the norm of the carried (A - E_pi)^k,
+which keeps its relative precision where A^k - E_pi is roundoff.
 """
 
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ from itertools import accumulate, islice, repeat
 import numpy as np
 
 from .chain import MarkovChain, averaging_operator
+from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, OutOfRange
 
 # Matrix entries in one batched SVD of deviation_norms: bounds its memory at any K.
@@ -29,7 +30,7 @@ class NormContext:
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
-        if pi.ndim != 1 or not np.all(pi > 0) or not abs(pi.sum() - 1.0) <= 1e-9:
+        if pi.ndim != 1 or not np.all(pi > 0) or not abs(pi.sum() - 1.0) <= DEFAULT_TOL.row_sum:
             raise OutOfRange("pi must be a strictly positive probability vector")
         object.__setattr__(self, "pi", pi)
 
@@ -76,19 +77,22 @@ def contraction(chain: MarkovChain) -> float:
     return float(deviation_norms(chain, 1)[0])
 
 
-def deviation_norms(chain: MarkovChain, K: int) -> np.ndarray:
-    """||A^k - E_pi|| on L2(pi) for k = 1..K, which equals ||(A - E_pi)^k||.
+def matrix_powers(M: np.ndarray, K: int):
+    """Yield M, M^2, ..., M^K, each carried as M^{k-1} @ M."""
+    return accumulate(repeat(M, K - 1), np.matmul, initial=M)
 
-    Each A^k is carried as A^{k-1} @ A from A itself, and the deviations are
-    normed one block of at most _BLOCK_ENTRIES matrix entries per batched SVD,
-    so memory stays bounded at any K.
+
+def deviation_norms(chain: MarkovChain, K: int) -> np.ndarray:
+    """||A^k - E_pi|| on L2(pi) for k = 1..K, as the norms of (A - E_pi)^k.
+
+    The powers are carried by `matrix_powers`, keeping their relative precision
+    as they decay, and normed one block of at most _BLOCK_ENTRIES matrix entries
+    per batched SVD, so memory stays bounded at any K.
     """
     if K < 1:
         raise OutOfRange("K must be a positive integer")
-    E = averaging_operator(chain)
     ctx = NormContext(chain.stationary)
-    devs = (P - E for P in accumulate(repeat(chain.transition, K - 1), np.matmul,
-                                      initial=chain.transition))
+    devs = matrix_powers(chain.transition - averaging_operator(chain), K)
     per_block = max(1, _BLOCK_ENTRIES // chain.n_states**2)
     return np.concatenate([l2_opnorms(np.stack(list(islice(devs, per_block))), ctx)
                            for _ in range(0, K, per_block)])

@@ -23,6 +23,22 @@ def random_contractive_chain(rng, n_states, lam_cap=0.95):
     raise RuntimeError("could not draw a contractive chain")
 
 
+def _slow_cycle(n, stay):
+    """Non-reversible: stay with probability `stay`, else step forward round the cycle."""
+    return (stay * np.eye(n) + (1 - stay) * np.roll(np.eye(n), 1, axis=1)).tolist()
+
+
+ADVERSARIAL = {
+    "near_periodic": validate_chain([[0.01, 0.99], [0.995, 0.005]]),
+    "slow_nonreversible_cycle": validate_chain(_slow_cycle(6, 0.9)),
+    "swap": validate_chain([[0, 1], [1, 0]], [0.5, 0.5]),
+    "reducible_with_pi": validate_chain([[0.3, 0.7, 0, 0], [0.7, 0.3, 0, 0],
+                                         [0, 0, 0.6, 0.4], [0, 0, 0.4, 0.6]],
+                                        [0.1, 0.1, 0.4, 0.4]),
+    "one_state": validate_chain([[1.0]]),
+}
+
+
 def random_lattice_family(rng, chain, n, span=2):
     """Mean-zero family whose within-step value differences are integers."""
     rows = []

@@ -172,7 +172,7 @@ def test_criterion_7_spectral_identities():
             ok = False
             details.append(f"lambda({lam:.1f}) -> {got}")
     rng = np.random.default_rng(707)
-    worst_gap, least_slack = 0.0, math.inf
+    worst_gap, least_margin = 0.0, math.inf
     for _ in range(5):
         chain = random_contractive_chain(rng, 4)
         norms = deviation_norms(chain, 20)
@@ -182,17 +182,18 @@ def test_criterion_7_spectral_identities():
         for k in range(1, 21):
             # independent oracle: numpy's repeated squaring of A - E, one SVD per k
             oracle = opnorm(np.linalg.matrix_power(chain.transition - E, k), ctx, 2)
-            gap, slack = abs(norms[k - 1] - oracle), lam**k - norms[k - 1]
+            gap, margin = abs(norms[k - 1] - oracle), 1 - norms[k - 1] / lam**k
             worst_gap = max(worst_gap, gap)
-            if k > 1:  # at k = 1 the slack is 0 by definition
-                least_slack = min(least_slack, slack)
+            if k > 1:  # at k = 1 the margin is 0 by definition
+                least_margin = min(least_margin, margin)
             if gap > 1e-10:
                 ok = False
                 details.append(f"power identity k={k}")
-            if slack < -1e-9:
+            if norms[k - 1] > lam**k * (1 + 1e-9):
                 ok = False
                 details.append(f"decay k={k}")
-    margins = f"largest identity gap {worst_gap:.3g}, smallest decay slack (k >= 2) {least_slack:.3g}"
+    margins = (f"largest identity gap {worst_gap:.3g}, "
+               f"smallest relative decay margin (k >= 2) {least_margin:.3g}")
     _report("criterion 7 (spectral identities)", ok, "; ".join(details + [margins]))
 
 

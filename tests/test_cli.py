@@ -14,6 +14,7 @@ from mchoeffding import (
     bound_healy,
     bound_iid_hoeffding,
     bound_rao,
+    contraction,
     estimate_tail,
     exact_moments,
     sign_family,
@@ -26,7 +27,7 @@ import mchoeffding
 from mchoeffding.cli import build_parser, main, parse_grid
 from mchoeffding.errors import ValidationError
 
-from conftest import prime_reciprocal_values
+from conftest import ADVERSARIAL, prime_reciprocal_values
 
 
 @pytest.fixture
@@ -346,6 +347,32 @@ def test_verify_subcommand(tmp_path, chain_file):
     blob = json.loads(open(out).read())
     assert blob["data"]["ok"] is True
     assert blob["data"]["checks_failed"] == []
+
+
+def _verify(tmp_path, chain_dict):
+    path, out = tmp_path / "chain.json", tmp_path / "v.json"
+    path.write_text(json.dumps(chain_dict))
+    rc = main(["verify", "--chain", str(path), "--output", str(out)])
+    return rc, json.loads(out.read_text())["data"], load_chain(str(path))[0]
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_verify_passes_on_adversarial_chains(tmp_path, name):
+    """Every check holds, the decay checks relative to lambda^k, and lambda is
+    `contraction`'s bit for bit."""
+    rc, data, chain = _verify(tmp_path, chain_to_dict(ADVERSARIAL[name]))
+    assert (rc, data["checks_failed"]) == (0, [])
+    assert data["lambda"] == contraction(chain)
+
+
+@pytest.mark.parametrize("pi", [[0.3, 0.7], [0.5, 0.5], [0.1, 0.2, 0.7], [0.05, 0.15, 0.3, 0.5]])
+def test_verify_passes_on_iid_chains_without_pi(tmp_path, pi):
+    """A = 1 pi with pi solved: lambda is roundoff, about 1e-16, and lambda^20
+    can be subnormal, yet the relative decay checks hold."""
+    rc, data, chain = _verify(tmp_path, {"transition": [pi] * len(pi)})
+    assert (rc, data["checks_failed"]) == (0, [])
+    assert data["lambda"] < 1e-14
+    assert data["lambda"] == contraction(chain)
 
 
 def test_validation_errors_exit_one(tmp_path, chain_file, capsys):

@@ -9,7 +9,7 @@ from mchoeffding.chain import averaging_operator
 from mchoeffding.errors import DimensionMismatch, OutOfRange
 from mchoeffding.spectral import l2_opnorms, spectral_norms
 
-from conftest import random_chain, random_contractive_chain
+from conftest import ADVERSARIAL, random_chain, random_contractive_chain
 
 
 def test_contraction_of_averaging_chain_is_zero():
@@ -106,7 +106,7 @@ def test_deviation_norms_identity_and_decay(rng):
         for k in range(1, 21):
             oracle = opnorm(np.linalg.matrix_power(chain.transition - E, k), ctx, 2)
             assert abs(norms[k - 1] - oracle) < 1e-10
-            assert norms[k - 1] <= norms[0] ** k + 1e-9
+            assert norms[k - 1] <= norms[0] ** k * (1 + 1e-9)
 
 
 def test_deviation_norms_reject_k_zero():
@@ -114,25 +114,28 @@ def test_deviation_norms_reject_k_zero():
         deviation_norms(two_state_chain(0.2), 0)
 
 
-def _slow_cycle(n, stay):
-    """Non-reversible: stay with probability `stay`, else step forward round the cycle."""
-    return (stay * np.eye(n) + (1 - stay) * np.roll(np.eye(n), 1, axis=1)).tolist()
+def test_deviation_norms_keep_relative_precision():
+    """0.5^k at every k up to 200: the powers of A - E decay with the norms
+    instead of leaving the roundoff of A^k - E at about 1e-16."""
+    norms = deviation_norms(two_state_chain(0.5), 200)
+    np.testing.assert_allclose(norms, 0.5 ** np.arange(1, 201), rtol=1e-12, atol=0)
 
 
-ADVERSARIAL = {
-    "near_periodic": validate_chain([[0.01, 0.99], [0.995, 0.005]]),
-    "slow_nonreversible_cycle": validate_chain(_slow_cycle(6, 0.9)),
-    "swap": validate_chain([[0, 1], [1, 0]], [0.5, 0.5]),
-    "reducible_with_pi": validate_chain([[0.3, 0.7, 0, 0], [0.7, 0.3, 0, 0],
-                                         [0, 0, 0.6, 0.4], [0, 0, 0.4, 0.6]],
-                                        [0.1, 0.1, 0.4, 0.4]),
-    "one_state": validate_chain([[1.0]]),
-}
+def _assert_relative_decay(chain, K=200):
+    norms = deviation_norms(chain, K)
+    assert np.all(norms <= norms[0] ** np.arange(1, K + 1) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("n_states", [8, 64])
+def test_deviation_norms_decay_relative_to_lambda_powers(rng, n_states):
+    for _ in range(3):
+        _assert_relative_decay(random_chain(rng, n_states))
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL)
 def test_deviation_norms_match_an_independent_oracle(name):
-    """Carried powers against numpy's repeated squaring of A - E, one SVD per k."""
+    """Carried powers against numpy's repeated squaring of A - E, one SVD per k;
+    below lambda = 1 they decay relative to lambda^k up to k = 200."""
     chain = ADVERSARIAL[name]
     E = averaging_operator(chain)
     ctx = NormContext(chain.stationary)
@@ -140,19 +143,21 @@ def test_deviation_norms_match_an_independent_oracle(name):
     oracle = [opnorm(np.linalg.matrix_power(chain.transition - E, k), ctx, 2)
               for k in range(1, 41)]
     np.testing.assert_allclose(norms, oracle, rtol=0, atol=1e-12)
+    if norms[0] < 1:
+        _assert_relative_decay(chain)
 
 
 def test_deviation_norms_block_edges_are_bit_identical(rng):
     """At N = 64 one block holds 16 powers: K on and either side of a block edge
-    gives, bit for bit, the per-k norms of the same carried powers."""
+    gives, bit for bit, the per-k norms of the same carried powers of A - E."""
     chain = random_chain(rng, 64)
     assert spectral._BLOCK_ENTRIES // 64**2 == 16
-    E = averaging_operator(chain)
+    D = chain.transition - averaging_operator(chain)
     ctx = NormContext(chain.stationary)
-    P, per_k = chain.transition, []
+    P, per_k = D, []
     for _ in range(33):
-        per_k.append(float(l2_opnorms(P - E, ctx)))
-        P = P @ chain.transition
+        per_k.append(float(l2_opnorms(P, ctx)))
+        P = P @ D
     for K in (15, 16, 17, 33):
         norms = deviation_norms(chain, K)
         assert norms.shape == (K,)
