@@ -54,12 +54,6 @@ class FunctionFamily:
         return float(np.sqrt(np.sum(self.bounds**2)))
 
 
-def _freeze(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def _floats(x, name):
     """x as a float array; ragged or non-numeric input raises ValidationError."""
     try:
@@ -115,7 +109,8 @@ def validate_chain(transition, stationary=None) -> MarkovChain:
         raise NotStationary(f"stationary vector sums to {pi.sum():.12g}")
     if np.abs(pi @ A - pi).max() > DEFAULT_TOL.stationarity:
         raise NotStationary("stationary vector is not fixed by the transition matrix")
-    return MarkovChain(transition=_freeze(A), stationary=_freeze(pi))
+    A.flags.writeable = pi.flags.writeable = False
+    return MarkovChain(transition=A, stationary=pi)
 
 
 def two_state_chain(lam: float) -> MarkovChain:
@@ -134,8 +129,9 @@ def sign_family(n: int) -> FunctionFamily:
     """f_i(state 0) = +1, f_i(state 1) = -1 for all i: the two-state tightness family."""
     if n < 1:
         raise OutOfRange("need at least one step")
-    values = np.tile([1.0, -1.0], (n, 1))
-    return FunctionFamily(values=_freeze(values), bounds=_freeze(np.ones(n)))
+    values, bounds = np.tile([1.0, -1.0], (n, 1)), np.ones(n)
+    values.flags.writeable = bounds.flags.writeable = False
+    return FunctionFamily(values=values, bounds=bounds)
 
 
 def make_family(values, bounds=None, chain: MarkovChain | None = None) -> FunctionFamily:
@@ -156,7 +152,8 @@ def make_family(values, bounds=None, chain: MarkovChain | None = None) -> Functi
             raise OutOfRange("bounds must be finite and nonnegative")
         if np.any(np.abs(V) > a[:, None] + 1e-12):
             raise OutOfRange("|f_i(v)| exceeds its bound a_i")
-    fam = FunctionFamily(values=_freeze(V), bounds=_freeze(a))
+    V.flags.writeable = a.flags.writeable = False
+    fam = FunctionFamily(values=V, bounds=a)
     if chain is not None:
         check_width(fam, chain)
         largest = np.abs(fam.values @ chain.stationary).max()
@@ -173,7 +170,9 @@ def check_width(funcs: FunctionFamily, chain: MarkovChain):
 
 def averaging_operator(chain: MarkovChain) -> np.ndarray:
     """Rank-one projector E with E_{ij} = pi_j; every row equals pi."""
-    return _freeze(np.tile(chain.stationary, (chain.n_states, 1)))
+    E = np.tile(chain.stationary, (chain.n_states, 1))
+    E.flags.writeable = False
+    return E
 
 
 def chain_to_dict(chain: MarkovChain, funcs: FunctionFamily | None = None) -> dict:

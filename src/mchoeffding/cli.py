@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: spectral | bounds | exact | simulate | matrix | verify.
-Every output embeds a run manifest; files are written atomically; identical
+Each handler returns (payload, exit code); `main` checks `--output` before any
+work, then renders the payload (a dict as JSON, a list of rows as CSV) with the
+run manifest and writes it once, to stdout or atomically to the file.  Identical
 invocations produce byte-identical data sections (the duration line is the
 only varying part).
 """
@@ -12,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -44,11 +45,8 @@ from .spectral import NormContext, deviation_norms, l2_opnorms, matrix_powers
 @dataclass
 class RunManifest:
     subcommand: str
-    input_path: str | None
     flags: dict
-    master_seed: int | None
-    version: str
-    started: float = 0.0
+    started: float = field(default_factory=time.perf_counter)
     timings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)  # like timings, outside the data section
 
@@ -71,9 +69,7 @@ class RunManifest:
         return dict(self.stable_dict(), duration_s=self.duration_s, **blocks)
 
     def stable_dict(self):
-        return {"subcommand": self.subcommand, "input": self.input_path,
-                "flags": self.flags, "master_seed": self.master_seed,
-                "version": self.version}
+        return {"subcommand": self.subcommand, "flags": self.flags, "version": __version__}
 
 
 MAX_GRID_POINTS = 10**6
@@ -100,24 +96,30 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.arange(start, stop + step / 2.0, step)
 
 
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_mch_")
+def _check_output(path: str):
+    """Raise ValidationError unless `path` names a file in an existing directory."""
+    if os.path.isdir(path):
+        raise ValidationError(f"--output {path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValidationError(f"--output {path}: its directory does not exist")
+
+
+def _write(text: str, path: str | None):
+    """Write `text` to stdout, or atomically to `path` through a sibling temp file.
+    The temp file is created with mode 0o666, so the umask applies as in open()."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp_mch_{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise ValidationError(f"cannot write --output {path}: {exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def _emit(text: str, output: str | None):
-    if output:
-        _atomic_write(output, text)
-    else:
-        sys.stdout.write(text)
 
 
 def render_csv(manifest: RunManifest, rows) -> str:
@@ -146,8 +148,7 @@ def _cmd_spectral(args, manifest):
     data = {"lambda": lam, "exceeds_one": bool(lam >= 1.0), "n_states": chain.n_states}
     if args.k:
         data["power_deviation_norms"] = norms.tolist()
-    _emit(render_json(manifest, data), args.output)
-    return 0
+    return data, 0
 
 
 def _stationary_residual(chain) -> float:
@@ -160,8 +161,7 @@ def _cmd_bounds(args, manifest):
         raise ValidationError(f"--lambda must be finite, got {args.lam}")
     u_grid = parse_grid(args.u_grid)
     cols = evaluate_tail_bounds(u_grid, args.lam)
-    _emit(render_csv(manifest, tail_rows({"u": u_grid}, cols, cols)), args.output)
-    return 0
+    return tail_rows({"u": u_grid}, cols, cols), 0
 
 
 def _cmd_exact(args, manifest):
@@ -172,13 +172,9 @@ def _cmd_exact(args, manifest):
         u = _check_u(parse_grid(args.tail_grid), 0.0)
         t = u * funcs.a_l2
         tails = lattice_distribution(chain, funcs).tail(t)
-        rows = [["u", "threshold", "exact_tail"], *zip(u.tolist(), t.tolist(), tails.tolist())]
-        _emit(render_csv(manifest, rows), args.output)
-        return 0
+        return [["u", "threshold", "exact_tail"], *zip(u.tolist(), t.tolist(), tails.tolist())], 0
     table = exact_moments(chain, funcs, args.q)
-    data = {"q": table.q, "moments": [float(m) for m in table.moments]}
-    _emit(render_json(manifest, data), args.output)
-    return 0
+    return {"q": table.q, "moments": [float(m) for m in table.moments]}, 0
 
 
 def _cmd_simulate(args, manifest):
@@ -196,9 +192,7 @@ def _cmd_simulate(args, manifest):
     rows = report.rows()
     data = {"columns": rows[0], "rows": rows[1:], "lambda": report.lam}
     manifest.lap("rows")
-    text = render_json(manifest, data) if args.format == "json" else render_csv(manifest, rows)
-    _emit(text, args.output)
-    return 0
+    return (data if args.format == "json" else rows), 0
 
 
 def _cmd_matrix(args, manifest):
@@ -220,8 +214,7 @@ def _cmd_matrix(args, manifest):
     manifest.lap("setup")
     report = run_matrix_experiment(B, order, chain, [1.0, -1.0], cfg, lam=args.lam)
     manifest.lap("experiment")
-    _emit(render_json(manifest, report.to_dict()), args.output)
-    return 0
+    return report.to_dict(), 0
 
 
 def _cmd_verify(args, manifest):
@@ -261,9 +254,7 @@ def _cmd_verify(args, manifest):
                                          + tol.inequality_slack)
     manifest.lap("oracle")
     failures = [name for name, ok in checks.items() if not ok]
-    data = {"lambda": lam, "checks_failed": failures, "ok": not failures}
-    _emit(render_json(manifest, data), args.output)
-    return 0 if not failures else 1
+    return {"lambda": lam, "checks_failed": failures, "ok": not failures}, 1 if failures else 0
 
 
 @functools.cache
@@ -319,16 +310,15 @@ _DISPATCH = {"spectral": _cmd_spectral, "bounds": _cmd_bounds, "exact": _cmd_exa
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        subcommand=args.cmd,
-        input_path=getattr(args, "chain", None) or getattr(args, "b", None),
-        flags={k: v for k, v in sorted(vars(args).items())
-               if k not in ("cmd", "output") and v is not None},
-        master_seed=getattr(args, "seed", None),
-        version=__version__,
-        started=time.perf_counter())
+    manifest = RunManifest(args.cmd, {k: v for k, v in sorted(vars(args).items())
+                                      if k not in ("cmd", "output") and v is not None})
     try:
-        return _DISPATCH[args.cmd](args, manifest)
+        if args.output:
+            _check_output(args.output)
+        payload, code = _DISPATCH[args.cmd](args, manifest)
+        render = render_json if isinstance(payload, dict) else render_csv
+        _write(render(manifest, payload), args.output)
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

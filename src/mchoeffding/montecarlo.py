@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import evaluate_tail_bounds, tail_mass, tail_rows
+from .bounds import _check_u, evaluate_tail_bounds, tail_mass, tail_rows
 from .chain import FunctionFamily, MarkovChain
 from .errors import OutOfRange
 from .rng import _finish, _mantissa, hash_block, trial_seeds, uniform_steps
@@ -269,7 +269,7 @@ def _tail_table(values: np.ndarray, thresholds: np.ndarray):
 
 def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimConfig) -> TailReport:
     """Empirical Pr[|S_n| >= u * ||a||_2] over the u-grid, with bound columns."""
-    u_grid = np.asarray(u_grid, dtype=float)
+    u_grid = _check_u(u_grid, 0.0)
     lam = contraction(chain)
     S = simulate_sums(chain, funcs, cfg)
     est, lo, hi = _tail_table(np.abs(S), u_grid * funcs.a_l2)

@@ -185,6 +185,21 @@ def test_sign_family():
         sign_family(0)
 
 
+def test_validated_arrays_are_read_only_copies():
+    """The records hold read-only arrays of their own; the caller's arrays stay
+    writable and share no memory with them."""
+    A, pi = np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([2.0, 1.0]) / 3.0
+    V, a = np.array([[1.0, -2.0], [0.5, -1.0]]), np.array([2.0, 1.5])
+    records = [validate_chain(A, pi), validate_chain(A), make_family(V), make_family(V, a)]
+    held = [x for r in records for x in vars(r).values()]
+    held += [averaging_operator(records[0]), *vars(sign_family(3)).values()]
+    for x in held:
+        assert not x.flags.writeable
+        for mine in (A, pi, V, a):
+            assert not np.shares_memory(x, mine)
+    assert all(x.flags.writeable for x in (A, pi, V, a))
+
+
 def test_make_family_validation():
     chain = two_state_chain(0.3)
     with pytest.raises(OutOfRange):

@@ -205,6 +205,42 @@ def test_tail_grids_reject_negative_u(tmp_path, chain_file, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir", "file_as_dir"])
+def test_bad_output_exits_one_before_any_work(tmp_path, chain_file, capsys, monkeypatch, where):
+    def walk(*args):
+        raise AssertionError("simulate ran before --output was checked")
+
+    monkeypatch.setattr(mchoeffding.cli, "estimate_tail", walk)
+    (tmp_path / "file").write_text("")
+    out = {"missing_dir": tmp_path / "missing" / "x.csv", "a_dir": tmp_path,
+           "file_as_dir": tmp_path / "file" / "x.csv"}[where]
+    argv = ["simulate", "--chain", chain_file, "--u-grid", "0:1:1", "--output", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --output {out}") and "Traceback" not in err
+
+
+def test_failed_write_exits_one_and_leaves_no_temp_file(tmp_path, chain_file, capsys,
+                                                         monkeypatch):
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", replace)
+    out = tmp_path / "t.csv"
+    assert main(["exact", "--chain", chain_file, "--tail-grid", "0:2:1", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --output {out}") and "No space left" in err
+    assert os.listdir(tmp_path) == ["chain.json"]
+
+
+def test_output_file_mode_follows_the_umask(tmp_path):
+    out, plain = tmp_path / "b.csv", tmp_path / "plain.csv"
+    assert main(["bounds", "--u-grid", "0:1:1", "--lambda", "0", "--output", str(out)]) == 0
+    with open(plain, "w"):
+        pass
+    assert out.stat().st_mode == plain.stat().st_mode
+
+
 def test_simulate_deterministic(tmp_path, chain_file):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["simulate", "--chain", chain_file, "--u-grid", "0:2:1",
@@ -242,7 +278,7 @@ def test_matrix_random_uniform_seed_wraps_mod_2_64(tmp_path):
         assert main(["matrix", "--pattern", "random-uniform", "--seed", str(seed), "--d", "3",
                      "--trials", "2", "--output", str(out)]) == 0
         blob = json.loads(out.read_text())
-        assert blob["manifest"]["master_seed"] == blob["data"].pop("master_seed") == seed
+        assert blob["manifest"]["flags"]["seed"] == blob["data"].pop("master_seed") == seed
         return blob["data"]
 
     assert data(-1) == data(2**64 - 1)

@@ -10,7 +10,7 @@ import mchoeffding
 # The standard-library modules the package imports itself; what they load in turn
 # is loaded before the package, so the check holds on any Python version.
 STDLIB_IMPORTS = ("argparse", "dataclasses", "fractions", "functools", "itertools", "json",
-                  "math", "numbers", "os", "sys", "tempfile", "time")
+                  "math", "numbers", "os", "sys", "time")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE_INIT = ROOT / "src" / "mchoeffding" / "__init__.py"

@@ -18,7 +18,7 @@ from mchoeffding import (
     wilson_interval,
 )
 from mchoeffding.chain import FunctionFamily
-from mchoeffding.errors import OutOfRange
+from mchoeffding.errors import NegativeU, OutOfRange
 from mchoeffding.montecarlo import (
     _BLOCK_DRAWS,
     _GUIDE_BITS,
@@ -94,6 +94,16 @@ def test_estimate_tail_at_zero_is_one():
     chain = two_state_chain(0.5)
     report = estimate_tail(chain, sign_family(4), [0.0], SimConfig(trials=200, master_seed=1))
     assert report.estimates[0] == 1.0
+
+
+def test_estimate_tail_checks_its_grid_before_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("simulate_sums ran before the u-grid was checked")
+
+    monkeypatch.setattr(montecarlo, "simulate_sums", walk)
+    with pytest.raises(NegativeU):
+        estimate_tail(two_state_chain(0.5), sign_family(2000), [-1.0, 0.0, 1.0],
+                      SimConfig(trials=10**6, master_seed=1))
 
 
 def test_estimate_tail_matches_exact_two_state():
