@@ -2,6 +2,8 @@
 and full lattice tail distributions via transfer-operator dynamic programming,
 with brute-force trajectory enumeration as the oracle of oracles.  A distribution
 answers a whole threshold grid with one `bounds.tail_mass` query (one sort).
+The lattice decomposition alone re-bases each step's indices to start at 0, and
+the DP carries only the live window of indices that the steps so far can reach.
 
 The enumeration never builds a (N^n, n) array of paths.  It grows the path
 probabilities one step at a time in lexicographic order, each path's product
@@ -158,10 +160,10 @@ def exact_mgf(chain: MarkovChain, funcs: FunctionFamily, theta: float) -> float:
 
 
 def _lattice_decomposition(funcs: FunctionFamily):
-    """Write f_i(v) = f_i(0) + pitch * k_{i,v} with integer k.
+    """Write f_i(v) = f_i(0) + pitch * (m_i + K[i, v]), integers with min_v K[i, v] = 0.
 
     Only the within-function differences need to be rational: per-step offsets
-    shift S_n by a constant.  Returns (pitch: Fraction or None, base, k-matrix).
+    shift S_n by a constant.  Returns (pitch: Fraction or None, base, lo = sum_i m_i, K).
     """
     V = funcs.values
     base = float(V[:, 0].sum())
@@ -176,16 +178,16 @@ def _lattice_decomposition(funcs: FunctionFamily):
         ratios.append(ratio)
     dens = [den for num, den in ratios if num]
     if not dens:
-        return None, base, np.zeros_like(diffs, dtype=np.int64)
+        return None, base, 0, np.zeros_like(diffs, dtype=np.int64)
     den_lcm = math.lcm(*dens)
     ints = [num * (den_lcm // den) for num, den in ratios]
     g = math.gcd(*ints)
     ks = [i // g for i in ints]
     if max(map(abs, ks)) > MAX_LATTICE_POINTS:  # before the int64 conversion can overflow
         raise TooLarge(f"lattice indices span more than {MAX_LATTICE_POINTS} points")
-    pitch = Fraction(g, den_lcm)
     K = np.array(ks, dtype=np.int64)[inverse].reshape(diffs.shape)
-    return pitch, base, K
+    low = K.min(axis=1, keepdims=True)
+    return Fraction(g, den_lcm), base, int(low.sum()), K - low
 
 
 def _small_ratio(d: float):
@@ -203,27 +205,22 @@ def _small_ratio(d: float):
 def lattice_distribution(chain: MarkovChain, funcs: FunctionFamily) -> LatticeDistribution:
     """Exact distribution of S_n by DP over (state, accumulated lattice index)."""
     check_width(funcs, chain)
-    pitch, base, K = _lattice_decomposition(funcs)
+    pitch, base, lo, K = _lattice_decomposition(funcs)
     N = chain.n_states
     if pitch is None:
         return _distribution(None, base, 0, None)
     A = chain.transition
-    lo = int(np.minimum(K, 0).min(axis=1).sum())
-    hi = int(np.maximum(K, 0).max(axis=1).sum())
-    width = hi - lo + 1
+    width = int(K.max(axis=1).sum()) + 1
     if width * N > MAX_LATTICE_POINTS:
         raise TooLarge(f"lattice support of {width} points is too wide for the exact DP")
-    # D[v, idx]: Pr[Y_k = v, sum index = idx + lo]
-    D = np.zeros((N, width))
-    D[np.arange(N), K[0] - lo] = chain.stationary
+    # D[v, idx]: Pr[Y_k = v, sum index = idx + lo], idx up to the first k rows' summed maxima
+    D = np.zeros((N, K[0].max() + 1))
+    D[np.arange(N), K[0]] = chain.stationary
     for shifts in K[1:].tolist():
         T = A.T @ D
-        D = np.zeros_like(T)
+        D = np.zeros((N, T.shape[1] + max(shifts)))
         for v, s in enumerate(shifts):
-            if s >= 0:
-                D[v, s:] = T[v, :width - s] if s else T[v]
-            else:
-                D[v, :s] = T[v, -s:]
+            D[v, s:s + T.shape[1]] = T[v]
     return _distribution(pitch, base, lo, D.sum(axis=0))
 
 
@@ -275,19 +272,16 @@ def brute_force_distribution(chain: MarkovChain, funcs: FunctionFamily) -> Latti
     values, never the DP recursion.  A deterministic S_n is its point mass,
     whatever N^n.
 
-    With each step's indices shifted to start at 0, the path indices are the
-    sums over the first and the last half of the steps joined by one outer
-    add, exact in integers, so the lowest index is the sum of the shifts."""
+    The path indices, each step's starting at 0, are the sums over the first and
+    the last half of the steps joined by one outer add, exact in integers."""
     check_width(funcs, chain)
-    pitch, base, K = _lattice_decomposition(funcs)
+    pitch, base, lo, K = _lattice_decomposition(funcs)
     if pitch is None:
         return _distribution(None, base, 0, None)
     probs = _path_probabilities(chain, funcs.n_steps)
-    low = K.min(axis=1)
-    K = K - low[:, None]
     half = len(K) // 2
     idx = np.add.outer(_index_sums(K[:half]), _index_sums(K[half:])).ravel()
-    return _distribution(pitch, base, int(low.sum()), np.bincount(idx, weights=probs.ravel()))
+    return _distribution(pitch, base, lo, np.bincount(idx, weights=probs.ravel()))
 
 
 def brute_force_monomial(chain: MarkovChain, funcs: FunctionFamily, w) -> float:

@@ -51,6 +51,17 @@ def random_lattice_family(rng, chain, n, span=2):
     return make_family(centered, chain=chain)
 
 
+def lattice_instances(seed, count, max_states=4, max_steps=7, lam_cap=1.0):
+    """`count` (chain, lattice family) pairs of 2..max_states states and 2..max_steps steps."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        chain = random_contractive_chain(rng, int(rng.integers(2, max_states + 1)), lam_cap)
+        funcs = random_lattice_family(rng, chain, int(rng.integers(2, max_steps + 1)))
+        out.append((chain, funcs))
+    return out
+
+
 def prime_reciprocal_values(n):
     """(n, 2) values +-1/p_i over the primes 907..997 in turn, mean zero on a symmetric
     two-state chain: each difference 2/p_i is rational, but the LCM of the

@@ -42,22 +42,12 @@ from mchoeffding.oracle import (
 )
 from mchoeffding.rng import trial_seeds
 
-from conftest import random_contractive_chain, random_lattice_family
+from conftest import lattice_instances, random_contractive_chain
 
 
 def _report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def _instances(seed, count, max_states=4, max_steps=7, lam_cap=1.0):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        chain = random_contractive_chain(rng, int(rng.integers(2, max_states + 1)), lam_cap)
-        funcs = random_lattice_family(rng, chain, int(rng.integers(2, max_steps + 1)))
-        out.append((chain, funcs))
-    return out
 
 
 def _close(x, y, tol=1e-10):
@@ -67,7 +57,7 @@ def _close(x, y, tol=1e-10):
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
-    for chain, funcs in _instances(101, 50):
+    for chain, funcs in lattice_instances(101, 50):
         bf = brute_force_distribution(chain, funcs)
         dist = lattice_distribution(chain, funcs)
         for u in (0.25, 0.5, 1.0, 1.5, 2.5):
@@ -88,7 +78,7 @@ def test_criterion_2_theorem_tail_dominance():
     start = time.perf_counter()
     u_grid = np.arange(0.5, 8.01, 0.5)
     violations = 0
-    for chain, funcs in _instances(202, 20, lam_cap=0.95):
+    for chain, funcs in lattice_instances(202, 20, lam_cap=0.95):
         lam = contraction(chain)
         dist = lattice_distribution(chain, funcs)
         for u in u_grid:
@@ -103,7 +93,7 @@ def test_criterion_2_theorem_tail_dominance():
 
 def test_criterion_3_moment_dominance():
     violations = 0
-    for chain, funcs in _instances(202, 20, lam_cap=0.95):
+    for chain, funcs in lattice_instances(202, 20, lam_cap=0.95):
         lam = contraction(chain)
         table = exact_moments(chain, funcs, 12)
         for q in range(2, 13, 2):
@@ -115,7 +105,7 @@ def test_criterion_3_moment_dominance():
 
 def test_criterion_4_monomial_dominance():
     rng = np.random.default_rng(404)
-    chains = _instances(404, 5, lam_cap=0.999)
+    chains = lattice_instances(404, 5, lam_cap=0.999)
     violations = 0
     for trial in range(500):
         chain, funcs = chains[trial % len(chains)]

@@ -164,6 +164,19 @@ def test_exact_subcommand_tail(tmp_path, chain_file):
     assert float(lines[1].split(",")[2]) == 1.0
 
 
+def test_exact_rejects_q_with_tail_grid_before_reading_the_chain(tmp_path, chain_file, capsys,
+                                                                  monkeypatch):
+    def load(path):
+        raise AssertionError("the chain was read before --q was checked")
+
+    monkeypatch.setattr(mchoeffding.cli, "load_chain", load)
+    out = tmp_path / "t.csv"
+    argv = ["exact", "--chain", chain_file, "--tail-grid", "0:2:1", "--q", "99", "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --q does not apply with --tail-grid\n"
+    assert not out.exists()
+
+
 def test_exact_tail_grid_queries_the_distribution_once(tmp_path, chain_file, monkeypatch):
     calls = []
     tail = mchoeffding.oracle.LatticeDistribution.tail
@@ -231,6 +244,28 @@ def test_failed_write_exits_one_and_leaves_no_temp_file(tmp_path, chain_file, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write --output {out}") and "No space left" in err
     assert os.listdir(tmp_path) == ["chain.json"]
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert main(["bounds", "--u-grid", "0:1:1", "--lambda", "0.5", "--output", str(link)]) == 0
+    assert link.is_symlink() and data_section(real)[0].startswith("u,")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+
+def test_output_linked_into_a_missing_directory_exits_one_before_any_work(tmp_path, capsys,
+                                                                           monkeypatch):
+    def bounds(*args):
+        raise AssertionError("bounds ran before --output was checked")
+
+    monkeypatch.setattr(mchoeffding.cli, "evaluate_tail_bounds", bounds)
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "missing" / "real.csv")
+    assert main(["bounds", "--u-grid", "0:1:1", "--lambda", "0.5", "--output", str(link)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --output {link}: its directory")
+    assert link.is_symlink() and os.listdir(tmp_path) == ["link.csv"]
 
 
 def test_output_file_mode_follows_the_umask(tmp_path):

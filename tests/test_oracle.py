@@ -41,6 +41,7 @@ from mchoeffding.oracle import (
 
 from conftest import (
     brute_force_string_sum,
+    lattice_instances,
     prime_reciprocal_values,
     random_chain,
     random_lattice_family,
@@ -181,6 +182,68 @@ def test_lattice_distribution_is_a_distribution(rng):
         dist = lattice_distribution(chain, funcs)
         assert np.all(dist.probabilities >= 0)
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _full_width_dp(chain, funcs):
+    """Reference lattice DP: indices taken relative to f_i(0), and every step multiplies
+    and shifts the whole (N, width) table of the final span.  Returns (offsets, probs)."""
+    _, _, _, K = _lattice_decomposition(funcs)
+    K = K - K[:, :1]
+    N = chain.n_states
+    A = chain.transition
+    lo = int(np.minimum(K, 0).min(axis=1).sum())
+    hi = int(np.maximum(K, 0).max(axis=1).sum())
+    width = hi - lo + 1
+    D = np.zeros((N, width))
+    D[np.arange(N), K[0] - lo] = chain.stationary
+    for shifts in K[1:].tolist():
+        T = A.T @ D
+        D = np.zeros_like(T)
+        for v, s in enumerate(shifts):
+            if s >= 0:
+                D[v, s:] = T[v, :width - s] if s else T[v]
+            else:
+                D[v, :s] = T[v, -s:]
+    probs = D.sum(axis=0)
+    keep = probs > 0
+    return np.arange(lo, lo + width)[keep], probs[keep]
+
+
+def _doubly_stochastic_chain(rng, N):
+    """A 10% uniform component over a Dirichlet mix of three random permutations:
+    irreducible, generally non-reversible, with uniform pi."""
+    w = rng.dirichlet([1.0, 1.0, 1.0])
+    A = 0.1 / N + 0.9 * sum(wi * np.eye(N)[rng.permutation(N)] for wi in w)
+    return validate_chain(A, np.full(N, 1.0 / N))
+
+
+def test_lattice_dp_matches_full_width_reference():
+    """The live-window DP equals the full-width one bit for bit: same offsets, same
+    probabilities, on small and deep (n = 2048) lattices, a pitch of 1/3, and more states."""
+    rng = np.random.default_rng(26)
+    two = two_state_chain(0.5)
+    decaying = np.ceil(64.0 / np.sqrt(np.arange(1, 2049)))
+    cases = lattice_instances(101, 50)  # criterion 1's instances
+    cases += [(two, sign_family(2048)), (two, make_family(np.outer(decaying, [1.0, -1.0])))]
+    for N, n in ((4, 500), (16, 300)):
+        chain = _doubly_stochastic_chain(rng, N)
+        cases.append((chain, random_lattice_family(rng, chain, n)))
+    chain = random_chain(rng, 3)
+    thirds = rng.integers(-6, 7, size=(300, 3)) / 3.0
+    cases.append((chain, make_family(thirds - (thirds @ chain.stationary)[:, None], chain=chain)))
+    for chain, funcs in cases:
+        dist = lattice_distribution(chain, funcs)
+        offsets, probs = _full_width_dp(chain, funcs)
+        assert np.array_equal(dist.offsets, offsets), (chain.n_states, funcs.n_steps)
+        assert np.array_equal(dist.probabilities, probs), (chain.n_states, funcs.n_steps)
+    # At N = 64 the BLAS product takes another kernel on the narrower early tables, which
+    # sums in another order, so far-tail probabilities may differ by a few ulps relative.
+    chain = _doubly_stochastic_chain(rng, 64)
+    funcs = random_lattice_family(rng, chain, 100)
+    dist = lattice_distribution(chain, funcs)
+    offsets, probs = _full_width_dp(chain, funcs)
+    assert np.array_equal(dist.offsets, offsets)
+    assert np.all(np.abs(dist.probabilities - probs) <= 4e-15 * probs)
 
 
 def test_exact_tail_matches_brute_force(rng):
@@ -364,12 +427,20 @@ def _fraction_decomposition(funcs):
     return Fraction(g, den_lcm), base, np.array(ks, dtype=np.int64)[inverse].reshape(diffs.shape)
 
 
+def _rebased_fraction_decomposition(funcs):
+    """`_fraction_decomposition` with each row of K shifted to start at 0, and lo the
+    sum of the shifts, as `_lattice_decomposition` returns it."""
+    pitch, base, K = _fraction_decomposition(funcs)
+    low = K.min(axis=1, keepdims=True)
+    return pitch, base, int(low.sum()), K - low
+
+
 def _outcome(decompose, funcs):
     try:
-        pitch, base, K = decompose(funcs)
+        pitch, base, lo, K = decompose(funcs)
     except (NotLattice, TooLarge) as err:
         return type(err), str(err)
-    return pitch, base, K.dtype, K.tolist()
+    return pitch, base, lo, K.dtype, K.tolist()
 
 
 def test_lattice_decomposition_equals_fraction_loop(rng):
@@ -393,7 +464,8 @@ def test_lattice_decomposition_equals_fraction_loop(rng):
     families += [values for values, _ in raises]
     for values in families:
         funcs = make_family(values)
-        assert _outcome(_lattice_decomposition, funcs) == _outcome(_fraction_decomposition, funcs)
+        assert (_outcome(_lattice_decomposition, funcs)
+                == _outcome(_rebased_fraction_decomposition, funcs))
     for values, error in raises:
         with pytest.raises(error):
             _lattice_decomposition(make_family(values))
