@@ -202,19 +202,22 @@ def _cmd_simulate(args, manifest):
 
 
 def _cmd_matrix(args, manifest):
+    for flag in ("d", "pattern"):
+        if args.b and vars(args)[flag] is not None:
+            raise ValidationError(f"--{flag} does not apply with --b")
     cfg = SimConfig(trials=args.trials, master_seed=args.seed)
     B = CoefficientMatrix(read_json(args.b)) if args.b else None
-    d = B.d if args.b else args.d
+    d = B.d if args.b else 32 if args.d is None else args.d
     if d < 1:
         raise ValidationError(f"--d must be at least 1, got {d}")
     if (cfg.trials + GAUSSIAN_TRIALS) * (d * d + d) // 2 > MAX_MATRIX_DRAWS:
         raise TooLarge(f"{cfg.trials} + {GAUSSIAN_TRIALS} matrices of d = {d} exceed the cap")
-    if not args.b and args.pattern == "all-ones":
-        B = CoefficientMatrix(np.ones((d, d)))
-    elif not args.b:
+    if not args.b and args.pattern == "random-uniform":
         # symmetric uniform(0,1] entries from the seeded stream, seed mod 2^64
         u = uniform_block([(args.seed ^ 0xB0B0) % 2**64], d * d).reshape(d, d)
         B = CoefficientMatrix((u + u.T) / 2.0 + 1e-3)
+    elif not args.b:  # all-ones, also when --pattern is unset
+        B = CoefficientMatrix(np.ones((d, d)))
     order = diagonal_first_order(d) if args.order == "diagonal-first" else row_major_order(d)
     chain = two_state_chain(args.lam)
     manifest.lap("setup")
@@ -295,11 +298,12 @@ def build_parser():
     mp.add_argument("--output")
 
     xp = sub.add_parser("matrix", help="Markov-filled random matrix experiment")
-    xp.add_argument("--d", type=int, default=32)
+    xp.add_argument("--d", type=int, help="matrix dimension (default 32); not with --b")
     xp.add_argument("--lambda", dest="lam", type=float, default=0.0)
     xp.add_argument("--trials", type=int, default=100)
     xp.add_argument("--seed", type=int, default=0)
-    xp.add_argument("--pattern", choices=["all-ones", "random-uniform"], default="all-ones")
+    xp.add_argument("--pattern", choices=["all-ones", "random-uniform"],
+                    help="coefficient matrix (default all-ones); not with --b")
     xp.add_argument("--order", choices=["row-major", "diagonal-first"], default="row-major")
     xp.add_argument("--b", help="JSON file with an explicit coefficient matrix")
     xp.add_argument("--output")

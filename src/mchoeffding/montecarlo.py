@@ -6,17 +6,17 @@ Determinism contract: every random draw is a pure function of
 (master_seed, trial index, step counter), so reports are bit-identical for a
 fixed configuration regardless of batching.
 
-Both walk kernels compare hash mantissas with integer CDF thresholds (`_thresholds`)
-and agree bit for bit.  The step loop (`_steps`) yields each step's states from hash
-blocks in two reused buffers (`rng.uniform_steps`): O(trials * block) memory.
-Wide, long walks look steps up in a two-level guide table (`_guide`; Chen and Asau, 1974):
-level 1 by a hash's top k bits and, in a bucket that straddles a CDF threshold, level 2 by
-the next k2 bits, k + k2 <= 31 bits that the unfinished hashes already hold final; only a
-sub-bucket that still straddles takes the binary search.  These walks carry states as
-s << k, so a step's index is states | (z >> (64 - k)); `simulate_sums` reads f_i from a
-table spread the same way, and `_paths` shifts its filled array back once.
-`_paths` takes the prefix scan (`_scan_walk`) for at most _SCAN_WIDTH (trial,
-state) pairs, where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
+The walk kernels read one table of integer CDF thresholds (`_cdf_table`): the N transition rows
+and, as row N, the stationary CDF, so step 1 leaves a virtual state N; they agree bit for bit.
+The step loop (`_steps`) yields each step's states from hash blocks in two reused buffers
+(`rng.uniform_steps`): O(trials * block) memory.  Wide, long walks read a two-level guide table
+(`_guide`; Chen and Asau, 1974): level 1, (N + 1) 2^k entries, by row and a hash's top k bits
+and, in a bucket that straddles a threshold, level 2 by the next k2 bits, k + k2 <= 31 bits that
+the unfinished hashes already hold final; only a still straddled sub-bucket is searched.  These
+walks carry states as s << k, so a step's index is states | (z >> (64 - k)); `simulate_sums`
+reads f_i from a table spread the same way, and `_paths` shifts its filled array back once.
+`_paths` takes the prefix scan (`_scan_walk`) for at most _SCAN_WIDTH (trial, state) pairs,
+where it measured 1.2-8x faster, and n * pairs <= _BLOCK_DRAWS.
 """
 
 import functools
@@ -96,23 +96,19 @@ def _thresholds(c: np.ndarray) -> np.ndarray:
     return (np.floor(c * 2.0**53).astype(np.int64) + 1) >> 1
 
 
-def _first_states(chain: MarkovChain, m: np.ndarray) -> np.ndarray:
-    """States at mantissas m: the count of stationary CDF values c <= u, or u > nextafter(c, -1)."""
-    cum = np.nextafter(np.cumsum(chain.stationary)[:-1], -1.0)  # all but the last: cap at N-1
-    return np.searchsorted(_thresholds(cum), m, side="right")
+def _cdf_table(chain: MarkovChain):
+    """Flat `_thresholds` of the cumulative rows and, as row N, of the stationary CDF one float
+    down, padded to a power-of-two width, 2^53 (above every mantissa) from column N-1 on.
 
-
-def _cdf_table(transition: np.ndarray):
-    """Flat `_thresholds` of the cumulative rows padded to a power-of-two width, 2^53 (above
-    every mantissa) from column N-1 on.
-
-    Returns (table, bits) with width 2**bits.  The cap limits the count of entries
-    below u to N-1, which is the clip the inverse CDF needs when a row sums to
+    Returns (table, bits) with width 2**bits.  A step from the virtual state N counts the
+    stationary values c <= u, or u > nextafter(c, -1): the first state.  The cap limits the
+    count of entries below u to N-1, the clip the inverse CDF needs when a row sums to
     slightly less than 1."""
-    cum = np.cumsum(transition, axis=1)
+    cum = np.vstack([np.cumsum(chain.transition, axis=1),
+                     np.nextafter(np.cumsum(chain.stationary), -1.0)])
     n = cum.shape[1]
     bits = (n - 1).bit_length()
-    table = np.full((n, 1 << bits), 1 << 53)
+    table = np.full((n + 1, 1 << bits), 1 << 53)
     table[:, :n - 1] = _thresholds(cum[:, :n - 1])
     return table.ravel(), bits
 
@@ -184,17 +180,16 @@ def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
     """(iterator, shift): an iterator over the C-contiguous vector of all trials' states
     << shift at steps 1..n.
 
-    Trial t uses the counter stream of seeds[t]: its first state inverts the
-    stationary CDF at uniform 1, and state k inverts the transition row of
-    state k-1 at uniform k, each used before the next is drawn (`uniform_steps`).
-    Wide, long walks of at most 64 states read the guide tables (`_guided_step`) with
-    states shifted by their k; any other walk searches every row (`_step`), shift 0."""
+    Trial t uses the counter stream of seeds[t]: state k inverts the `_cdf_table` row of state
+    k-1 at uniform k, each used before the next is drawn (`uniform_steps`), and state 0 is the
+    virtual state N, whose row is the stationary CDF.  Walks of at most 64 states, at least
+    _GUIDE_TRIALS trials and _GUIDE_WORK trial-steps read the guide tables (`_guided_step`)
+    with states shifted by their k; any other walk searches every row (`_step`), shift 0."""
     if n < 1:
         raise OutOfRange("n must be at least 1")
-    first = _first_states(chain, _mantissa(hash_block(seeds, 1)[:, 0]))
     rows = _block_steps(len(seeds))
-    blocks = uniform_steps(seeds, n, rows, start=1)
-    table, bits = _cdf_table(chain.transition)
+    blocks = uniform_steps(seeds, n, rows)
+    table, bits = _cdf_table(chain)
     if 2 * bits < _GUIDE_BITS and _GUIDE_TRIALS <= len(seeds) >= _GUIDE_WORK / n:
         levels = _guide(table, bits)
         step, shift = functools.partial(_guided_step, table, bits, *levels), levels[1]
@@ -203,17 +198,17 @@ def _steps(chain: MarkovChain, seeds: np.ndarray, n: int):
         tmp = np.empty((rows, len(seeds)), np.uint64)
         blocks = (_mantissa(_finish(z, tmp[:len(z)])) for z in blocks)
     steps = itertools.chain.from_iterable(blocks)
-    return itertools.accumulate(steps, step, initial=first << shift), shift
+    start = np.full(len(seeds), chain.n_states << shift)
+    return itertools.islice(itertools.accumulate(steps, step, initial=start), 1, None), shift
 
 
 def _scan_walk(chain: MarkovChain, m: np.ndarray) -> np.ndarray:
-    """(trials, n) states read off a (trials, n) mantissa block, equal to the step loop's: every
-    step maps all N states at once (`_step`), and a Hillis-Steele scan composes the maps."""
+    """(trials, n) states from as many mantissas, equal to the step loop's: each step maps all N
+    states (step 1 the virtual state N) at once (`_step`); a Hillis-Steele scan composes them."""
     (trials, n), N = m.shape, chain.n_states
-    table, bits = _cdf_table(chain.transition)
-    maps = np.empty((n, trials, N), dtype=np.int64)
-    maps[0] = _first_states(chain, m[:, :1])  # step 1 maps every state to the first state
-    maps[1:] = _step(table, bits, np.broadcast_to(np.arange(N), maps[1:].shape), m.T[1:, :, None])
+    table, bits = _cdf_table(chain)
+    sources = np.where(np.arange(n)[:, None, None], np.arange(N), N)
+    maps = _step(table, bits, np.broadcast_to(sources, (n, trials, N)), m.T[:, :, None])
     # map (k, t) sends s to (k*trials + t)*N + target: row k after row k - span is one take
     maps += np.arange(0, maps.size, N).reshape(n, trials, 1)
     span = 1

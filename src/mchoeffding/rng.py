@@ -4,9 +4,9 @@ All simulation randomness is derived by hashing (seed, counter) pairs through
 a 64-bit finalizer (splitmix64).  There is no generator state, so per-trial
 streams are independent of execution order, and any range of a stream's
 counters can be drawn on its own, bit-identical to the same columns of the
-full block.  `uniform_steps` yields pre-final hashes, counter-major in two reused
-buffers: splitmix64 stops before its last xor-shift (`_premix`), which would leave
-their top 31 bits as they are, and `_finish` completes the hashes where needed.  The
+full block.  `uniform_steps` yields the pre-final hashes of a walk's every step, counter-major
+in two reused buffers: splitmix64 stops before its last xor-shift (`_premix`), which would
+leave their top 31 bits as they are, and `_finish` completes the hashes where needed.  The
 guided walk reads its two guide levels from those final bits, k + k2 <= 31 of them.
 """
 
@@ -71,13 +71,13 @@ def uniform_block(seeds, stop, start=0):
     return _to_unit(hash_block(seeds, stop, start))
 
 
-def uniform_steps(seeds, stop, block, start=0):
-    """Columns start..stop-1 of hash_block(seeds, stop) before the last xor-shift (`_finish`
-    completes them) in (rows, len(seeds)) blocks of up to `block` counters, one per row, all
-    drawn into the same two buffers: each block is valid until the next is requested."""
+def uniform_steps(seeds, stop, block):
+    """hash_block(seeds, stop) before the last xor-shift (`_finish` completes it), transposed
+    into (rows, len(seeds)) blocks of up to `block` counters, one per row, all drawn into the
+    same two buffers: each block is valid until the next is requested."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     z, tmp = np.empty((2, block, len(seeds)), dtype=np.uint64)
-    for lo in range(start, stop, block):
+    for lo in range(0, stop, block):
         rows = min(block, stop - lo)
         ctr = _GOLDEN * np.arange(lo + 2, lo + rows + 2, dtype=np.uint64)
         yield _premix(np.add.outer(ctr, seeds, out=z[:rows]), tmp[:rows])

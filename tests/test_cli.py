@@ -412,6 +412,41 @@ def test_matrix_rejects_bad_coefficients(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 4
 
 
+@pytest.mark.parametrize("flag", [["--d", "16"], ["--d", "2"], ["--pattern", "random-uniform"],
+                                  ["--pattern", "all-ones"]], ids=["d16", "d2", "random", "ones"])
+def test_matrix_rejects_flags_that_b_overrides_before_reading_b(tmp_path, capsys, monkeypatch,
+                                                                 flag):
+    """B sets the dimension and the coefficients, so --d and --pattern, even at B's own values
+    or the defaults, exit 1 before B is read."""
+    def read(path):
+        raise AssertionError("B was read before --d and --pattern were checked")
+
+    monkeypatch.setattr(mchoeffding.cli, "read_json", read)
+    b_file, out = tmp_path / "b.json", tmp_path / "m.json"
+    b_file.write_text("[[1.0, 0.5], [0.5, 1.0]]")
+    assert main(["matrix", "--b", str(b_file), *flag, "--trials", "3", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag[0]} does not apply with --b\n"
+    assert not out.exists()
+
+
+def test_matrix_defaults_leave_the_manifest(tmp_path):
+    """Unset, --d and --pattern stay out of the manifest's flags and run d = 32 with all-ones
+    coefficients, the data of the explicit flags; with --b, neither flag is recorded."""
+    def run(*argv):
+        out = tmp_path / "m.json"
+        assert main(["matrix", *argv, "--trials", "2", "--output", str(out)]) == 0
+        blob = json.loads(out.read_text())
+        return blob["data"], blob["manifest"]["flags"]
+
+    data, flags = run()
+    assert "d" not in flags and "pattern" not in flags and data["d"] == 32
+    assert run("--d", "32", "--pattern", "all-ones")[0] == data
+    b_file = tmp_path / "b.json"
+    b_file.write_text("[[1.0, 0.5], [0.5, 1.0]]")
+    data, flags = run("--b", str(b_file))
+    assert data["d"] == 2 and flags["b"] == str(b_file) and not {"d", "pattern"} & set(flags)
+
+
 def test_verify_subcommand(tmp_path, chain_file):
     out = tmp_path / "v.json"
     assert main(["verify", "--chain", chain_file, "--output", str(out)]) == 0

@@ -2,9 +2,12 @@ import functools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from mchoeffding import (
     SimConfig,
@@ -18,7 +21,7 @@ from mchoeffding import (
     wilson_interval,
 )
 from mchoeffding.chain import FunctionFamily
-from mchoeffding.errors import NegativeU, OutOfRange
+from mchoeffding.errors import NegativeU, OutOfRange, ValidationError
 from mchoeffding.montecarlo import (
     _BLOCK_DRAWS,
     _GUIDE_BITS,
@@ -27,7 +30,6 @@ from mchoeffding.montecarlo import (
     _SCAN_WIDTH,
     _block_steps,
     _cdf_table,
-    _first_states,
     _guide,
     _guided_step,
     _scan_walk,
@@ -291,6 +293,71 @@ def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
                                   sum(values[i][ref[:, i]] for i in range(3)))
 
 
+_ROW_KINDS = ("random", "zero_entries", "tiny", "mostly_identity", "near_periodic")
+
+
+@st.composite
+def _closed_class(draw, size):
+    """A transition matrix on `size` states whose rows each put weight on their successor
+    (mod size), so the class is irreducible; each row of a kind from _ROW_KINDS."""
+    A = np.zeros((size, size))
+    for i in range(size):
+        kind, succ = draw(st.sampled_from(_ROW_KINDS)), (i + 1) % size
+        if kind == "mostly_identity":
+            A[i, i] += 1.0 - 1e-3
+            A[i, succ] += 1e-3
+        elif kind == "near_periodic":
+            A[i] = 1e-3 / size
+            A[i, succ] += 1.0 - 1e-3
+        else:
+            w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+            if kind != "random":
+                w[w < 0.5] = 0.0 if kind == "zero_entries" else 1e-12
+            w[succ] += 0.05
+            A[i] = w / w.sum()
+    return A
+
+
+@st.composite
+def _property_chains(draw):
+    """1-8 states in one closed class with its solved pi, or in two, a reducible chain whose
+    supplied pi mixes the classes' own."""
+    N = draw(st.integers(1, 8))
+    split = draw(st.integers(0, N - 1))  # 0: one class
+    w = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    A, pi = np.zeros((N, N)), []
+    try:
+        for lo, hi, weight in [(0, split, w), (split, N, 1.0 - w)] if split else [(0, N, 1.0)]:
+            A[lo:hi, lo:hi] = draw(_closed_class(hi - lo))
+            pi.append(weight * validate_chain(A[lo:hi, lo:hi]).stationary)
+        return validate_chain(A, np.concatenate(pi) if split else None)
+    except ValidationError:  # a pi entry too small to accept
+        reject()
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=_property_chains(), trials=st.integers(1, 12), n=st.integers(1, 40),
+       master_seed=st.integers(0, 2**32))
+def test_every_walk_kernel_equals_seed_walk(chain, trials, n, master_seed):
+    """The scan, the search and the guide each equal the reference walk, first column
+    included, and `simulate_sums` on the search and the guide equals the reference sum."""
+    seeds = trial_seeds(master_seed, trials)
+    ref = seed_walk(chain, ref_uniforms(seeds, n))
+    np.testing.assert_array_equal(_scan_walk(chain, (hash_block(seeds, n) >> 12).view(np.int64)),
+                                  ref)
+    values = np.random.default_rng(n).normal(size=(n, chain.n_states))
+    fam = FunctionFamily(values=values, bounds=np.abs(values).max(axis=1))
+    cfg = SimConfig(trials, master_seed)
+    bits = (chain.n_states - 1).bit_length()
+    for gates, shift in [((_GUIDE_TRIALS, _GUIDE_WORK), 0), ((1, 1), _GUIDE_BITS - bits)]:
+        with mock.patch.multiple(montecarlo, _GUIDE_TRIALS=gates[0], _GUIDE_WORK=gates[1]):
+            steps, taken = _steps(chain, seeds, n)
+            assert taken == shift
+            np.testing.assert_array_equal((np.array(list(steps)) >> shift).T, ref)
+            np.testing.assert_array_equal(simulate_sums(chain, fam, cfg),
+                                          sum(values[i][ref[:, i]] for i in range(n)))
+
+
 def _unit(m):
     """The uniform (2m + 1) 2^-53 of each mantissa m, through the library's float map."""
     return _to_unit(np.array(m, dtype=np.uint64, ndmin=1) << np.uint64(12))
@@ -321,7 +388,7 @@ def _short_row_sum_chain(n_states):
 @pytest.mark.parametrize("n_states", [3, 4, 5])
 def test_step_caps_state_above_short_row_sum(n_states):
     chain, m, expected = _short_row_sum_chain(n_states)
-    table, bits = _cdf_table(chain.transition)
+    table, bits = _cdf_table(chain)
     nxt = _step(table, bits, np.full(len(m), n_states - 1), m)
     np.testing.assert_array_equal(nxt, expected)
     np.testing.assert_array_equal(nxt[:3], n_states - 1)
@@ -367,9 +434,12 @@ GUIDE_CHAINS = _guide_chains()
 
 
 def _count_up_to_last(chain, states, u):
-    """Independent inverse CDF: cumulative entries below u, clipped to the last state."""
-    cum = np.cumsum(chain.transition, axis=1)[states]
-    return np.minimum((u[:, None] > cum).sum(axis=1), chain.n_states - 1)
+    """Independent inverse CDF: cumulative entries below u, clipped to the last state; from
+    row N, the stationary CDF's values c <= u, as the first state counts them."""
+    N = chain.n_states
+    cum = np.vstack([np.cumsum(chain.transition, axis=1), np.cumsum(chain.stationary)])[states]
+    counts = np.where(states[:, None] == N, u[:, None] >= cum, u[:, None] > cum).sum(axis=1)
+    return np.minimum(counts, N - 1)
 
 
 def _unfinish(x):
@@ -396,33 +466,38 @@ def _check_guided_step(chain, tables, states, z):
 
 @pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
 def test_guided_step_is_exact_at_bucket_edges(name, monkeypatch):
-    """Every state at the edges of every level-1 bucket, each straddled bucket's state at the
-    edges of every level-2 sub-bucket, and every row at its thresholds and their neighbours."""
+    """Every state and the virtual first-step state N at the edges of every level-1 bucket, each
+    straddled bucket's state at the edges of every level-2 sub-bucket, and every row, row N
+    included, at its thresholds and their neighbours."""
     chain = GUIDE_CHAINS[name]
-    table, bits = _cdf_table(chain.transition)
+    N = chain.n_states
+    table, bits = _cdf_table(chain)
     tables = (table, bits, *_guide(table, bits))
     guide, k, sub, k2 = tables[2:]
     straddled = (guide < 0).nonzero()[0]
-    assert guide.size == chain.n_states << k and k == _GUIDE_BITS - bits
+    assert guide.size == N + 1 << k and k == _GUIDE_BITS - bits
     assert sub.size == straddled.size << k2 <= 1 << _GUIDE_BITS and k + k2 <= 31
     assert straddled.size << (k2 + 1) > 1 << _GUIDE_BITS or k2 == 31 - k or not straddled.size
     calls = []
     monkeypatch.setattr(montecarlo, "_step", lambda *a: calls.append(len(a[2])) or _step(*a))
     edges = _edge_hashes(k, np.arange(1 << k))
-    _check_guided_step(chain, tables, np.repeat(np.arange(chain.n_states), edges.size),
-                       np.tile(edges, chain.n_states))
+    _check_guided_step(chain, tables, np.repeat(np.arange(N + 1), edges.size),
+                       np.tile(edges, N + 1))
     sub_buckets = (straddled[:, None] << k2 | np.arange(1 << k2)).ravel()
     edges = _edge_hashes(k + k2, sub_buckets & (1 << (k + k2)) - 1)
     _check_guided_step(chain, tables, np.tile(sub_buckets >> (k + k2), 4), edges)
-    T = table.reshape(chain.n_states, -1)[:, :chain.n_states - 1]
-    m = np.clip(T[..., None] + [-1, 0, 1], 0, _TOP_MANTISSA).reshape(chain.n_states, -1)
+    T = table.reshape(N + 1, -1)[:, :N - 1]
+    m = np.clip(T[..., None] + [-1, 0, 1], 0, _TOP_MANTISSA).reshape(N + 1, -1)
     z = m.astype(np.uint64) << np.uint64(12) | np.uint64(0xABC)  # the low bits play no part
-    _check_guided_step(chain, tables, np.arange(chain.n_states).repeat(m.shape[1]), z.ravel())
+    _check_guided_step(chain, tables, np.arange(N + 1).repeat(m.shape[1]), z.ravel())
     assert bool(calls) == bool((sub < 0).any())  # `_step` runs exactly past a level-2 -1
     if name == "tiny_probabilities":
         assert guide[0] < 0 and guide[1] == 3 << k  # three values in bucket 0, none in 1
-    if name == "dyadic" or chain.n_states == 1:
-        assert sub.size == 0 and guide.min() >= 0   # every value lies on a bucket edge
+    if name == "dyadic" or N == 1:
+        # every transition value lies on a bucket edge; of the stationary CDFs, one state's
+        # does too, and dyadic's 1/3 and 2/3 straddle buckets of row N only
+        assert guide[:N << k].min() >= 0
+        assert set(straddled >> k) == ({N} if name == "dyadic" else set())
     if name == "bucket_top":
         assert guide[(1 << (k - 1)) - 1] < 0        # the last mantissa of the bucket moves on
         assert sub[(1 << k2) - 1] == -1             # and of its last sub-bucket
@@ -431,15 +506,16 @@ def test_guided_step_is_exact_at_bucket_edges(name, monkeypatch):
 
 
 def test_level_two_size_cap():
-    """64 states whose 63 thresholds each straddle a level-1 bucket of their own: the most
-    straddled buckets any chain can have, 64 * 63, with 2^2 sub-buckets each."""
+    """64 states whose 63 thresholds each straddle a level-1 bucket of their own, as do the
+    stationary row's: the most straddled buckets any chain can have, 65 * 63, with 2^2
+    sub-buckets each."""
     cum = (4 * np.arange(63) + 2.3) / 256
     row = np.diff(cum, prepend=0.0, append=1.0)
-    table, bits = _cdf_table(validate_chain(np.tile(row, (64, 1)), row).transition)
+    table, bits = _cdf_table(validate_chain(np.tile(row, (64, 1)), row))
     guide, k, sub, k2 = _guide(table, bits)
-    assert (k, (guide < 0).sum(), k2) == (8, 64 * 63, 2)
-    assert sub.size == 64 * 63 << 2 <= 1 << _GUIDE_BITS < 64 * 63 << 3
-    assert (sub < 0).sum() == 64 * 63                 # 2.3 / 256 straddles its sub-bucket too
+    assert (k, (guide < 0).sum(), k2) == (8, 65 * 63, 2)
+    assert sub.size == 65 * 63 << 2 <= 1 << _GUIDE_BITS < 65 * 63 << 3
+    assert (sub < 0).sum() == 65 * 63                 # 2.3 / 256 straddles its sub-bucket too
 
 
 @pytest.mark.parametrize("name", sorted(GUIDE_CHAINS))
@@ -449,7 +525,7 @@ def test_guided_walk_matches_seed_walk(name, monkeypatch):
     n = -(-_GUIDE_WORK // trials)  # the shortest walk that builds the guide
     cfg = SimConfig(trials=trials, master_seed=41)
     ref = seed_walk(chain, _reference_uniforms(cfg.master_seed, trials, n))
-    table, bits = _cdf_table(chain.transition)
+    table, bits = _cdf_table(chain)
     guide, k, sub, k2 = _guide(table, bits)
     sizes, level_two = [], []
     monkeypatch.setattr(montecarlo, "_step", lambda *a: sizes.append(len(a[2])) or _step(*a))
@@ -459,13 +535,13 @@ def test_guided_walk_matches_seed_walk(name, monkeypatch):
     if chain.n_states <= 64:
         # two calls build level 1 on every (state, bucket), two level 2 on every straddled
         # bucket's sub-buckets; any later call is a fallback past a level-2 -1
-        assert sizes[:4] == [chain.n_states << k] * 2 + [sub.size] * 2
+        assert sizes[:4] == [chain.n_states + 1 << k] * 2 + [sub.size] * 2
         assert all(0 < m < trials for m in level_two)
         assert len(sizes[4:]) <= len(level_two) and all(0 < m < max(level_two) for m in sizes[4:])
         assert level_two or name != "tiny_probabilities"
         assert sizes[4:] or name != "random_64"
     else:
-        assert sizes == [trials] * (n - 1) and not level_two
+        assert sizes == [trials] * n and not level_two
     values = np.random.default_rng(n).normal(size=(n, chain.n_states))
     fam = FunctionFamily(values=values, bounds=np.abs(values).max(axis=1))
     np.testing.assert_array_equal(simulate_sums(chain, fam, cfg),
@@ -473,7 +549,7 @@ def test_guided_walk_matches_seed_walk(name, monkeypatch):
     # one step shorter, the walk searches every row, with the same states
     sizes.clear()
     np.testing.assert_array_equal(sample_paths(chain, n - 1, cfg), ref[:, :n - 1])
-    assert sizes == [trials] * (n - 2)
+    assert sizes == [trials] * (n - 1)
 
 
 def _adversarial_cumulatives():
@@ -501,17 +577,39 @@ def test_thresholds_are_exact_at_every_boundary():
     assert above.sum() < c.size and below.sum() < c.size
 
 
+# the first stationary CDF value (2^51 + 1) 2^-53 is the uniform of mantissa 2^50
+_ODD_PI = [0.25 + 2.0**-53, 0.25 - 2.0**-53, 0.5]
+_ODD_TIE = [2**50 - 1, 2**50, 2**50 + 1]
+
+
 def test_first_states_count_stationary_values_up_to_u():
     """The first state counts the stationary CDF's values c <= u, not c < u: at a c that
     equals a uniform, (2^51 + 1) 2^-53, the first state is already the next one."""
-    odd = validate_chain(np.eye(3), [0.25 + 2.0**-53, 0.25 - 2.0**-53, 0.5])
+    odd = validate_chain(np.eye(3), _ODD_PI)
     for chain in [odd] + list(WALK_CHAINS.values()) + list(GUIDE_CHAINS.values()):
         cum = np.cumsum(chain.stationary)
         T = _thresholds(cum)
         m = np.clip(np.concatenate([T - 1, T, T + 1, [0, _TOP_MANTISSA]]), 0, _TOP_MANTISSA)
-        np.testing.assert_array_equal(_first_states(chain, m),
+        table, bits = _cdf_table(chain)
+        np.testing.assert_array_equal(_step(table, bits, np.full(len(m), chain.n_states), m),
                                       np.searchsorted(cum[:-1], _unit(m), side="right"))
-    assert _first_states(odd, np.array([2**50 - 1, 2**50, 2**50 + 1])).tolist() == [0, 1, 1]
+    table, bits = _cdf_table(odd)
+    assert _step(table, bits, np.full(3, 3), np.array(_ODD_TIE)).tolist() == [0, 1, 1]
+
+
+def test_first_state_tie_reaches_every_kernel():
+    """At the stationary CDF value (2^51 + 1) 2^-53 that equals the uniform of mantissa 2^50,
+    the scan, the guided step and the search all start on the next state."""
+    odd = validate_chain(np.eye(3), _ODD_PI)
+    m = np.array(_ODD_TIE)
+    paths = _scan_walk(odd, np.tile(m[:, None], 5))  # the identity chain keeps its first state
+    np.testing.assert_array_equal(paths, np.tile([[0], [1], [1]], 5))
+    table, bits = _cdf_table(odd)
+    guide, k, sub, k2 = _guide(table, bits)
+    z = m.astype(np.uint64) << np.uint64(12) | np.uint64(0xABC)
+    nxt = _guided_step(table, bits, guide, k, sub, k2, np.full(3, 3 << k), _unfinish(z))
+    assert (nxt >> k).tolist() == [0, 1, 1]
+    assert _step(table, bits, np.full(3, 3), m).tolist() == [0, 1, 1]
 
 
 def test_uniform_block_ranges_concatenate():

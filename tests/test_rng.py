@@ -76,27 +76,25 @@ def test_premix_keeps_the_final_top_31_bits():
     assert np.any(pre >> np.uint64(32) != full >> np.uint64(32))
     assert _GUIDE_BITS <= 31
     for chain in GUIDE_CHAINS.values():
-        table, bits = _cdf_table(chain.transition)
+        table, bits = _cdf_table(chain)
         _, k, _, k2 = _guide(table, bits)
         assert k + k2 <= 31
 
 
 @pytest.mark.parametrize("trials", [1, 7, 300, 20_000])
 def test_walk_draws_match_reference(trials):
-    """The walk's draws: `_to_unit(_finish(...))` of row j of the blocks from counter start
-    on is column start + j of the reference block, for the walk's own block size and for
-    others, each block copied before the next is requested (the buffers are reused)."""
+    """The walk's draws: `_to_unit(_finish(...))` of row j of the blocks is column j of the
+    reference block, for the walk's own block size and for others, each block copied before
+    the next is requested (the buffers are reused)."""
     seeds = trial_seeds(41, trials)
     walk_block = _block_steps(trials)
     n = 2 * walk_block + 3
     ref = ref_uniforms(seeds, n)
-    for start in (0, 1):  # the walk draws its first uniforms apart, from counter 2 on
-        for block in sorted({1, 2, walk_block, n, n + 4}):
-            blocks = [z.copy() for z in uniform_steps(seeds, n, block, start)]
-            assert all(z.dtype == np.uint64 and z.flags.c_contiguous and 1 <= len(z) <= block
-                       for z in blocks)
-            np.testing.assert_array_equal(_to_unit(_finish(np.concatenate(blocks))),
-                                          ref.T[start:])
+    for block in sorted({1, 2, walk_block, n, n + 4}):
+        blocks = [z.copy() for z in uniform_steps(seeds, n, block)]
+        assert all(z.dtype == np.uint64 and z.flags.c_contiguous and 1 <= len(z) <= block
+                   for z in blocks)
+        np.testing.assert_array_equal(_to_unit(_finish(np.concatenate(blocks))), ref.T)
 
 
 def test_to_unit_is_exact_at_every_boundary():
