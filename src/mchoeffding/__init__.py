@@ -31,12 +31,10 @@ from .matrixlab import (
     build_markov_matrix,
     row_major_order,
     run_matrix_experiment,
-    schatten_norm,
     sigma_params,
 )
 from .montecarlo import SimConfig, TailReport, estimate_tail, sample_path, wilson_interval
 from .oracle import (
-    MomentTable,
     brute_force_distribution,
     exact_mgf,
     exact_moments,

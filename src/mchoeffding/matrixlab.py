@@ -6,7 +6,8 @@ in a pluggable order, and the spectral norm of the result is compared to the
 Gaussian baseline and the 1/sqrt(1-lam) bound.  A fill order is a permutation
 array over np.triu_indices(d); one fill scatters path-ordered entries (a few
 paths come from the walk's prefix scan) into a stack of symmetric matrices,
-Markov and Gaussian alike, and one LAPACK SVD call takes the stack's norms."""
+Markov and Gaussian alike, and one LAPACK SVD call takes the stack's norms;
+the same batched SVD (`spectral_norms`) takes ||B|| itself."""
 
 import functools
 import math
@@ -54,7 +55,7 @@ class CoefficientMatrix:
     @functools.cached_property
     def _norms(self) -> tuple:
         """(sigma, sigma_star, ||B||_Sinf), computed once and shared by every report on B."""
-        return (*sigma_params(self), schatten_norm(self.entries, math.inf))
+        return (*sigma_params(self), float(spectral_norms(self.entries)))
 
 
 @functools.cache
@@ -127,19 +128,6 @@ def _fill(B: CoefficientMatrix, order: FillOrder, values: np.ndarray) -> np.ndar
     X[:, i, j] = values[:, order.positions] * B.entries[i, j]
     X[:, j, i] = X[:, i, j]
     return X
-
-
-def schatten_norm(M, p) -> float:
-    """Schatten p-norm from singular values; p = inf gives the spectral norm."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("M must be square")
-    if not p > 0:
-        raise OutOfRange("p must be positive")
-    s = np.linalg.svd(M, compute_uv=False)
-    if p == math.inf:
-        return float(s[0])
-    return float(np.sum(s**p) ** (1.0 / p))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

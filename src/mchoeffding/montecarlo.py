@@ -66,8 +66,6 @@ class TailReport:
     ci_low: np.ndarray
     ci_high: np.ndarray
     bounds: dict
-    trials: int
-    master_seed: int
     lam: float
 
     def rows(self):
@@ -269,8 +267,7 @@ def estimate_tail(chain: MarkovChain, funcs: FunctionFamily, u_grid, cfg: SimCon
     S = simulate_sums(chain, funcs, cfg)
     est, lo, hi = _tail_table(np.abs(S), u_grid * funcs.a_l2)
     return TailReport(u_grid=u_grid, estimates=est, ci_low=lo, ci_high=hi,
-                      bounds=evaluate_tail_bounds(u_grid, lam),
-                      trials=cfg.trials, master_seed=cfg.master_seed, lam=float(lam))
+                      bounds=evaluate_tail_bounds(u_grid, lam), lam=float(lam))
 
 
 def _mean_interval(x: np.ndarray):

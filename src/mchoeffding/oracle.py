@@ -41,17 +41,6 @@ _BLOCK_ENTRIES = 2**10
 
 
 @dataclass(frozen=True, eq=False)
-class MomentTable:
-    """E[S_n^m] for m = 0..q."""
-
-    q: int
-    moments: np.ndarray
-
-    def __getitem__(self, m):
-        return float(self.moments[m])
-
-
-@dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """Distribution of S_n supported on base + step * offsets.
 
@@ -98,8 +87,9 @@ def exact_monomial_expectation(chain: MarkovChain, funcs: FunctionFamily, w) -> 
     return float(p.sum())
 
 
-def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTable:
-    """All moments E[S_n^m], m = 0..q, by the binomial transfer recursion
+def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> np.ndarray:
+    """All moments E[S_n^m], m = 0..q, as a read-only (q+1,) array, by the binomial
+    transfer recursion
 
         M_{k+1}(v', m) = sum_j C(m, j) f_{k+1}(v')^j (M_k(., m-j) A)(v'),
 
@@ -132,7 +122,9 @@ def exact_moments(chain: MarkovChain, funcs: FunctionFamily, q: int) -> MomentTa
             M = np.cumsum(terms, axis=1)[:, -1] + 0.0
     if not np.all(np.isfinite(M)):
         raise Overflow("moment recursion left the representable range")
-    return MomentTable(q=q, moments=M.sum(axis=1))
+    moments = M.sum(axis=1)
+    moments.setflags(write=False)
+    return moments
 
 
 @functools.cache

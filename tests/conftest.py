@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
 from mchoeffding import contraction, make_family, validate_chain
+from mchoeffding.errors import ValidationError
 
 
 def random_chain(rng, n_states, min_entry=0.05):
@@ -37,6 +40,48 @@ ADVERSARIAL = {
                                         [0.1, 0.1, 0.4, 0.4]),
     "one_state": validate_chain([[1.0]]),
 }
+
+
+_ROW_KINDS = ("random", "zero_entries", "tiny", "mostly_identity", "near_periodic")
+
+
+@st.composite
+def _closed_class(draw, size):
+    """A transition matrix on `size` states whose rows each put weight on their successor
+    (mod size), so the class is irreducible; each row of a kind from _ROW_KINDS."""
+    A = np.zeros((size, size))
+    for i in range(size):
+        kind, succ = draw(st.sampled_from(_ROW_KINDS)), (i + 1) % size
+        if kind == "mostly_identity":
+            A[i, i] += 1.0 - 1e-3
+            A[i, succ] += 1e-3
+        elif kind == "near_periodic":
+            A[i] = 1e-3 / size
+            A[i, succ] += 1.0 - 1e-3
+        else:
+            w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+            if kind != "random":
+                w[w < 0.5] = 0.0 if kind == "zero_entries" else 1e-12
+            w[succ] += 0.05
+            A[i] = w / w.sum()
+    return A
+
+
+@st.composite
+def _property_chains(draw, max_states=8):
+    """1 to max_states states in one closed class with its solved pi, or in two, a reducible
+    chain whose supplied pi mixes the classes' own."""
+    N = draw(st.integers(1, max_states))
+    split = draw(st.integers(0, N - 1))  # 0: one class
+    w = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    A, pi = np.zeros((N, N)), []
+    try:
+        for lo, hi, weight in [(0, split, w), (split, N, 1.0 - w)] if split else [(0, N, 1.0)]:
+            A[lo:hi, lo:hi] = draw(_closed_class(hi - lo))
+            pi.append(weight * validate_chain(A[lo:hi, lo:hi]).stationary)
+        return validate_chain(A, np.concatenate(pi) if split else None)
+    except ValidationError:  # a pi entry too small to accept
+        reject()
 
 
 def random_lattice_family(rng, chain, n, span=2):

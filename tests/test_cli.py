@@ -13,6 +13,7 @@ from mchoeffding import (
     bound_fjs,
     bound_healy,
     bound_iid_hoeffding,
+    bound_moment,
     bound_rao,
     contraction,
     estimate_tail,
@@ -151,7 +152,7 @@ def test_exact_subcommand_moments(tmp_path, chain_file):
     out = tmp_path / "e.json"
     assert main(["exact", "--chain", chain_file, "--q", "4", "--output", str(out)]) == 0
     blob = json.loads(open(out).read())
-    expected = exact_moments(two_state_chain(0.5), sign_family(4), 4).moments
+    expected = exact_moments(two_state_chain(0.5), sign_family(4), 4)
     np.testing.assert_allclose(blob["data"]["moments"], expected, atol=1e-12)
 
 
@@ -274,6 +275,20 @@ def test_output_file_mode_follows_the_umask(tmp_path):
     with open(plain, "w"):
         pass
     assert out.stat().st_mode == plain.stat().st_mode
+
+
+def test_existing_output_keeps_its_mode(tmp_path):
+    """Replacing a private file leaves it private, whatever the umask, as open() would."""
+    out = tmp_path / "b.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        assert main(["bounds", "--u-grid", "0:1:1", "--lambda", "0", "--output", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o7777 == 0o600
+    assert out.read_text() != "old\n"
 
 
 def test_simulate_deterministic(tmp_path, chain_file):
@@ -479,6 +494,27 @@ def test_verify_passes_on_iid_chains_without_pi(tmp_path, pi):
     assert (rc, data["checks_failed"]) == (0, [])
     assert data["lambda"] < 1e-14
     assert data["lambda"] == contraction(chain)
+
+
+def test_verify_skips_the_brute_force_off_a_lattice(tmp_path):
+    """Values without a small rational difference have no lattice to enumerate on:
+    verify runs its other checks and passes, as `exact` does on the same file."""
+    a = [0.4, 0.123456789, 1.0, 0.3141592653589793]
+    chain_dict = {"transition": [[0.6, 0.4], [0.3, 0.7]],
+                  "functions": {"values": [[x, -0.75 * x] for x in a]}}
+    rc, data, _ = _verify(tmp_path, chain_dict)
+    assert (rc, data["ok"], data["checks_failed"]) == (0, True, [])
+    assert main(["exact", "--q", "4", "--chain", str(tmp_path / "chain.json"),
+                 "--output", str(tmp_path / "e.json")]) == 0
+
+
+def test_verify_checks_the_moment_bound_past_the_path_guard(tmp_path, monkeypatch):
+    """2^17 paths exceed the brute-force guard, but the fourth-moment bound needs none."""
+    calls = []
+    monkeypatch.setattr(mchoeffding.cli, "bound_moment",
+                        lambda *args: calls.append(args) or bound_moment(*args))
+    rc, data, _ = _verify(tmp_path, chain_to_dict(two_state_chain(0.5), sign_family(17)))
+    assert (rc, data["ok"], len(calls)) == (0, True, 1)
 
 
 def test_validation_errors_exit_one(tmp_path, chain_file, capsys):

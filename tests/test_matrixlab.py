@@ -10,7 +10,6 @@ from mchoeffding import (
     bound_matrix_schatten,
     build_markov_matrix,
     run_matrix_experiment,
-    schatten_norm,
     sigma_params,
     two_state_chain,
     validate_chain,
@@ -181,20 +180,10 @@ def test_independent_fill_has_uncorrelated_entries():
 
 def test_schatten_diag_values():
     M = np.diag([3.0, -4.0])
-    assert schatten_norm(M, math.inf) == pytest.approx(4.0)
-    assert schatten_norm(M, 1) == pytest.approx(7.0)
-    assert schatten_norm(M, 2) == pytest.approx(5.0)
+    assert float(spectral_norms(np.asarray(M))) == pytest.approx(4.0)
     # tridiagonal [[2,1,0],[1,2,1],[0,1,2]] has eigenvalues 2, 2 +- sqrt(2)
     T = [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]
-    assert schatten_norm(T, math.inf) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-14)
-    assert schatten_norm(T, 1) == pytest.approx(6.0, abs=1e-14)
-
-
-def test_schatten_inf_below_finite_p(rng):
-    for _ in range(5):
-        S = rng.normal(size=(4, 4))
-        for p in (1, 2, 3.5):
-            assert schatten_norm(S, math.inf) <= schatten_norm(S, p) + 1e-10
+    assert float(spectral_norms(np.asarray(T))) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-14)
 
 
 def test_schatten_inf_matches_power_iteration(rng):
@@ -206,13 +195,13 @@ def test_schatten_inf_matches_power_iteration(rng):
         v = S @ (S @ v)
         v /= np.linalg.norm(v)
     top = math.sqrt(float(v @ (S @ (S @ v))))
-    assert schatten_norm(S, math.inf) == pytest.approx(top, abs=1e-8)
+    assert float(spectral_norms(np.asarray(S))) == pytest.approx(top, abs=1e-8)
 
 
 def test_schatten_nonsymmetric_matches_numpy(rng):
     M = rng.normal(size=(4, 4))
     M[0, 1] += 3.0  # clearly asymmetric
-    assert schatten_norm(M, math.inf) == pytest.approx(
+    assert float(spectral_norms(np.asarray(M))) == pytest.approx(
         np.linalg.svd(M, compute_uv=False).max(), abs=1e-9)
 
 
@@ -364,7 +353,7 @@ def test_report_derives_summary_from_sample_norms():
         assert rep.mean_norm == float(x.mean())
         assert (rep.ci_low, rep.ci_high) == (rep.mean_norm - half, rep.mean_norm + half)
         sigma, sigma_star = sigma_params(B)
-        b_norm = schatten_norm(B.entries, math.inf)
+        b_norm = float(spectral_norms(np.asarray(B.entries)))
         assert (rep.sigma, rep.sigma_star, rep.b_norm) == (sigma, sigma_star, b_norm)
         gauss = sigma + sigma_star * math.sqrt(math.log(5))
         assert rep.fitted_C == rep.mean_norm * math.sqrt(1.0 - rep.lam) / gauss

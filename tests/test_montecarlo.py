@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mchoeffding import (
@@ -21,7 +21,7 @@ from mchoeffding import (
     wilson_interval,
 )
 from mchoeffding.chain import FunctionFamily
-from mchoeffding.errors import NegativeU, OutOfRange, ValidationError
+from mchoeffding.errors import NegativeU, OutOfRange
 from mchoeffding.montecarlo import (
     _BLOCK_DRAWS,
     _GUIDE_BITS,
@@ -50,7 +50,7 @@ from mchoeffding.rng import (
     uniform_block,
 )
 
-from conftest import random_chain, random_lattice_family, ref_uniforms
+from conftest import _property_chains, random_chain, random_lattice_family, ref_uniforms
 
 
 def test_wilson_interval_contains_estimate():
@@ -291,48 +291,6 @@ def test_small_batch_walk_matches_seed_walk(name, monkeypatch):
     ref = seed_walk(chain, u_all[:2, :3])
     np.testing.assert_array_equal(simulate_sums(chain, fam, SimConfig(2, 41)),
                                   sum(values[i][ref[:, i]] for i in range(3)))
-
-
-_ROW_KINDS = ("random", "zero_entries", "tiny", "mostly_identity", "near_periodic")
-
-
-@st.composite
-def _closed_class(draw, size):
-    """A transition matrix on `size` states whose rows each put weight on their successor
-    (mod size), so the class is irreducible; each row of a kind from _ROW_KINDS."""
-    A = np.zeros((size, size))
-    for i in range(size):
-        kind, succ = draw(st.sampled_from(_ROW_KINDS)), (i + 1) % size
-        if kind == "mostly_identity":
-            A[i, i] += 1.0 - 1e-3
-            A[i, succ] += 1e-3
-        elif kind == "near_periodic":
-            A[i] = 1e-3 / size
-            A[i, succ] += 1.0 - 1e-3
-        else:
-            w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
-            if kind != "random":
-                w[w < 0.5] = 0.0 if kind == "zero_entries" else 1e-12
-            w[succ] += 0.05
-            A[i] = w / w.sum()
-    return A
-
-
-@st.composite
-def _property_chains(draw):
-    """1-8 states in one closed class with its solved pi, or in two, a reducible chain whose
-    supplied pi mixes the classes' own."""
-    N = draw(st.integers(1, 8))
-    split = draw(st.integers(0, N - 1))  # 0: one class
-    w = draw(st.sampled_from([0.1, 0.5, 0.9]))
-    A, pi = np.zeros((N, N)), []
-    try:
-        for lo, hi, weight in [(0, split, w), (split, N, 1.0 - w)] if split else [(0, N, 1.0)]:
-            A[lo:hi, lo:hi] = draw(_closed_class(hi - lo))
-            pi.append(weight * validate_chain(A[lo:hi, lo:hi]).stationary)
-        return validate_chain(A, np.concatenate(pi) if split else None)
-    except ValidationError:  # a pi entry too small to accept
-        reject()
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mchoeffding import (
     brute_force_distribution,
@@ -20,7 +22,7 @@ from mchoeffding import (
     validate_chain,
     verify_holder_application,
 )
-from mchoeffding.bounds import bound_monomial
+from mchoeffding.bounds import bound_fjs, bound_moment, bound_monomial, bound_rao
 from mchoeffding.config import DEFAULT_TOL
 from mchoeffding.errors import (
     DimensionMismatch,
@@ -40,6 +42,7 @@ from mchoeffding.oracle import (
 )
 
 from conftest import (
+    _property_chains,
     brute_force_string_sum,
     lattice_instances,
     prime_reciprocal_values,
@@ -115,6 +118,7 @@ def test_monomial_lemma_dominance(rng):
 def test_first_moments():
     chain = two_state_chain(0.5)
     table = exact_moments(chain, sign_family(2), 2)
+    assert table.shape == (3,) and not table.flags.writeable
     assert table[0] == pytest.approx(1.0)
     assert table[1] == pytest.approx(0.0, abs=1e-12)
     assert table[2] == pytest.approx(3.0)  # 2 + 2 lam
@@ -397,7 +401,7 @@ def test_moments_equal_vander_recursion_bit_for_bit(rng, q):
         chain = random_chain(rng, N)
         for funcs in (random_lattice_family(rng, chain, n) if N > 1 else make_family(np.zeros((n, 1))),
                       make_family(rng.normal(size=(n, N)))):
-            got = exact_moments(chain, funcs, q).moments
+            got = exact_moments(chain, funcs, q)
             assert got.tobytes() == _vander_moments(chain, funcs, q).tobytes(), (N, n, q)
 
 
@@ -581,6 +585,42 @@ def test_diagonal_chain_claim(rng):
         Ts = [rng.normal(size=(n, n)) for _ in range(k - 1)]
         lhs, rhs = evaluate_diagonal_chain_claim(pi, us, Ts)
         assert lhs <= rhs + 1e-9
+
+
+# --- adversarial chains: zero, tiny, near-periodic and reducible rows -----------
+
+@settings(max_examples=40, deadline=None)
+@given(chain=_property_chains(max_states=4), data=st.data())
+def test_oracles_and_bounds_hold_on_adversarial_chains(chain, data):
+    """The DP oracles equal the brute force, and for lambda < 1 the tail, moment
+    and monomial bounds dominate, on chains with zero or 1e-12 entries, near-periodic
+    rows, or two closed classes under a supplied pi."""
+    N, n = chain.n_states, data.draw(st.integers(1, 5))
+    # as random_lattice_family: rows of integers that vary, but on one state, where f = 0
+    row = st.lists(st.integers(-2, 2), min_size=N, max_size=N).filter(
+        lambda r: N == 1 or len(set(r)) > 1)
+    g = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=float)
+    funcs = make_family(g - (g @ chain.stationary)[:, None], chain=chain)
+    bf = brute_force_distribution(chain, funcs)
+    dist = lattice_distribution(chain, funcs)
+    np.testing.assert_array_equal(dist.offsets, bf.offsets)
+    np.testing.assert_allclose(dist.probabilities, bf.probabilities, rtol=0, atol=1e-12)
+    moments = exact_moments(chain, funcs, 6)
+    scale = max(1.0, float(funcs.bounds.sum()))
+    for m in range(7):
+        assert abs(moments[m] - bf.moment(m)) <= 1e-12 * scale**m, (m, moments[m], bf.moment(m))
+    w = sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=6)))
+    monomial = exact_monomial_expectation(chain, funcs, w)
+    size = max(1.0, math.prod(float(funcs.bounds[i - 1]) for i in w))
+    assert abs(monomial - brute_force_monomial(chain, funcs, w)) <= 1e-12 * size
+    lam = contraction(chain)
+    if lam < 1.0:
+        for u in np.arange(0.5, 8.01, 0.5) if N > 1 else ():  # S_n = 0 >= 0 * u surely
+            p = dist.tail(u * funcs.a_l2)
+            assert p <= bound_rao(u, lam) and p <= bound_fjs(u, lam), (u, p, lam)
+        for q in (2, 4, 6):
+            assert moments[q] <= bound_moment(q, lam, funcs.bounds), (q, lam)
+        assert monomial <= bound_monomial(w, lam, funcs.bounds) + 1e-9, (w, lam)
 
 
 # --- function-table width and the array tail query ------------------------------
